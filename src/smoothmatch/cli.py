@@ -4,8 +4,12 @@ Exit codes: 0 on success, 1 on solver failure, 2 on input errors.
 """
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -16,7 +20,7 @@ from .metrics import compute_report
 from .solver import SolverConfig, landmark_init, refine
 from .spectral import compute_basis
 from .synth import farthest_point_indices, icosphere, jittered_copy
-from .variants import DEFAULT_BETA, VARIANT_KINDS, Variant
+from .variants import VARIANT_KINDS, Variant
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -31,14 +35,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ref = sub.add_parser("refine", help="refine an initial map pair")
-    p_ref.add_argument("--src", required=True, help="source mesh (.off/.obj)")
-    p_ref.add_argument("--tgt", required=True, help="target mesh (.off/.obj)")
-    init = p_ref.add_mutually_exclusive_group(required=True)
+    # --src, --tgt, --out and one of --landmarks/--init-map are required
+    # unless --pairs supplies them per line (checked in main)
+    p_ref.add_argument("--src", help="source mesh (.off/.obj)")
+    p_ref.add_argument("--tgt", help="target mesh (.off/.obj)")
+    init = p_ref.add_mutually_exclusive_group()
     init.add_argument("--landmarks", help="landmark pair file (src_idx tgt_idx per line)")
     init.add_argument("--init-map", nargs=2, metavar=("MAP12", "MAP21"),
                       help="initial pointwise map files for both directions")
     p_ref.add_argument("--energy", choices=VARIANT_KINDS, default="dirichlet")
-    p_ref.add_argument("--out", required=True, help="output directory")
+    p_ref.add_argument("--out", help="output directory")
     p_ref.add_argument("--gt", help="ground-truth file for the 1->2 direction")
     p_ref.add_argument("--k-init", type=int, default=20)
     p_ref.add_argument("--k-final", type=int, default=100)
@@ -89,15 +95,25 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "refine" and not args.pairs:
+        missing = ["--" + name for name in ("src", "tgt", "out") if getattr(args, name) is None]
+        if args.landmarks is None and args.init_map is None:
+            missing.append("--landmarks or --init-map")
+        if missing:
+            parser.error("refine: the following arguments are required: " + ", ".join(missing))
+    if args.command == "refine":
+        command = _run_batch if args.pairs else _cmd_refine
+    else:
+        command = _cmd_eval if args.command == "eval" else _cmd_synth
+    return _exit_code(command, args)
+
+
+def _exit_code(command, args):
+    """Run one command; input errors exit 2, solver errors exit 1."""
     try:
-        if args.command == "refine":
-            if args.pairs:
-                return _run_batch(args)
-            return _cmd_refine(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        return _cmd_synth(args)
+        return command(args)
     except (FileNotFoundError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
@@ -114,7 +130,7 @@ def _require(path, what):
 
 def _refine_config(args):
     variant = Variant(kind=args.energy, lam=args.lam, mu=args.mu, k_def=args.k_def)
-    beta = DEFAULT_BETA[args.energy] if args.beta is None else args.beta
+    beta = variant.default_beta if args.beta is None else args.beta
     weights = EnergyWeights(spectral_bij=args.spectral_bij, alpha=args.alpha, beta=beta)
     return SolverConfig(
         k_init=args.k_init, k_final=args.k_final, n_outer=args.iters,
@@ -127,19 +143,15 @@ def _print_config(config, args):
     print("command refine")
     print("src %s" % args.src)
     print("tgt %s" % args.tgt)
-    print("energy %s" % config.variant.kind)
-    print("k_init %d" % config.k_init)
-    print("k_final %d" % config.k_final)
-    print("n_outer %d" % config.n_outer)
-    print("gamma_init %g" % config.gamma_init)
-    print("gamma_final %g" % config.gamma_final)
-    print("spectral_bij %g" % config.weights.spectral_bij)
-    print("alpha %g" % config.weights.alpha)
-    print("beta %g" % config.weights.beta)
-    print("lam %g" % config.variant.lam)
-    print("mu %g" % config.variant.mu)
-    print("k_def %s" % ("auto" if config.variant.k_def is None else config.variant.k_def))
-    print("exact_pi_step %s" % config.exact_pi_step)
+    for obj in (config.variant, config, config.weights):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                continue
+            if isinstance(value, float):
+                value = "%g" % value
+            print("%s %s" % ("energy" if f.name == "kind" else f.name,
+                             "auto" if value is None else value))
     print("normalize %s" % (not args.no_normalize))
 
 
@@ -203,30 +215,37 @@ def _cmd_refine(args):
 
 
 def _run_batch(args):
-    rows = []
+    """Refine every pair of a batch file; one status line per pair.
+
+    A failing pair does not stop the others; the batch exits with the
+    worst exit code of its pairs.
+    """
+    jobs = []
     with open(_require(args.pairs, "batch file"), "r") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 4:
-                raise ValueError("batch lines must be: src tgt landmarks outdir")
-            rows.append(parts)
-    jobs = []
-    for src, tgt, lms, out in rows:
-        sub = argparse.Namespace(**vars(args))
-        sub.src, sub.tgt, sub.landmarks, sub.out = src, tgt, lms, out
-        sub.init_map = None
-        sub.pairs = None
-        jobs.append(sub)
-    if args.jobs > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            statuses = list(pool.map(_cmd_refine, jobs))
-    else:
-        statuses = [_cmd_refine(sub) for sub in jobs]
-    return max(statuses) if statuses else EXIT_OK
+                raise ValueError("%s:%d: batch lines must be: src tgt landmarks outdir"
+                                 % (args.pairs, lineno))
+            sub = argparse.Namespace(**vars(args))
+            sub.src, sub.tgt, sub.landmarks, sub.out = parts
+            sub.init_map = None
+            sub.pairs = None
+            jobs.append(sub)
+    run = functools.partial(_exit_code, _cmd_refine)
+    parallel = args.jobs > 1 and len(jobs) > 1
+    worst = EXIT_OK
+    with ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext() as pool:
+        # both maps yield in batch order as the pairs finish
+        codes = pool.map(run, jobs) if parallel else map(run, jobs)
+        for i, (sub, code) in enumerate(zip(jobs, codes), start=1):
+            print("pair %d/%d %s %s -> %s: %s" % (
+                i, len(jobs), sub.src, sub.tgt, sub.out,
+                "ok" if code == EXIT_OK else "exit %d" % code), flush=True)
+            worst = max(worst, code)
+    return worst
 
 
 def _cmd_eval(args):

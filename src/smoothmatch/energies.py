@@ -119,57 +119,28 @@ def smoothness_terms(state, mesh_1, mesh_2):
 
 def coupled_smoothness_dirichlet(state, mesh_1, mesh_2, weights):
     """Coupled smoothness energy for the Dirichlet variant."""
-    e_d, e_c = smoothness_terms(state, mesh_1, mesh_2)
-    return e_d + weights.beta * e_c
+    return variant_smoothness(state, mesh_1, mesh_2, weights, "dirichlet")
 
 
-def variant_smoothness(state, mesh_1, mesh_2, weights, variant):
+def variant_smoothness(state, mesh_1, mesh_2, weights, variant, terms=None):
     """Coupled smoothness block for the active variant.
 
-    Falls back to the Dirichlet form when the per-direction auxiliary
-    data (rotations, affine fields, spectral displacements) is absent.
+    ``terms`` may pass in the ``smoothness_terms`` of ``state`` when the
+    caller has them.  Energies with auxiliary unknowns (nicp, arap,
+    shells) raise ValueError on a state whose Y-steps left none.
     """
-    from . import variants as _v
+    from .variants import ENERGIES, Variant
 
-    if isinstance(variant, str):
-        variant = _v.Variant(variant)
-    kind = variant.kind if variant is not None else "dirichlet"
-    aux_12 = getattr(state, "aux_12", None)
-    aux_21 = getattr(state, "aux_21", None)
-    _, e_couple = smoothness_terms(state, mesh_1, mesh_2)
-
-    if kind == "rhm":
-        e_d, _ = smoothness_terms(state, mesh_1, mesh_2)
-        bij = a_norm_sq(
-            state.y_12[state.pi_21.target_of] - mesh_2.vertices, mesh_2.vertex_areas
-        ) + a_norm_sq(
-            state.y_21[state.pi_12.target_of] - mesh_1.vertices, mesh_1.vertex_areas
-        )
-        return e_d + weights.beta * e_couple + variant.mu * bij
-
-    if kind == "nicp" and aux_12 is not None and aux_21 is not None:
-        smooth = dirichlet_energy(
-            aux_12["affine"].reshape(mesh_1.n_vertices, 12), mesh_1.cot_matrix
-        ) + dirichlet_energy(
-            aux_21["affine"].reshape(mesh_2.n_vertices, 12), mesh_2.cot_matrix
-        )
-        return smooth + weights.beta * e_couple
-
-    if kind in ("arap", "shells") and aux_12 is not None and aux_21 is not None:
-        smooth = variant.lam * (
-            _v.arap_energy(aux_12["rotations"], state.y_12, mesh_1)
-            + _v.arap_energy(aux_21["rotations"], state.y_21, mesh_2)
-        )
-        return smooth + weights.beta * e_couple
-
-    return coupled_smoothness_dirichlet(state, mesh_1, mesh_2, weights)
+    if variant is None or isinstance(variant, str):
+        variant = Variant(variant or "dirichlet")
+    e_d, e_couple = smoothness_terms(state, mesh_1, mesh_2) if terms is None else terms
+    regularizer = ENERGIES[variant.kind].regularizer
+    return regularizer(state, mesh_1, mesh_2, variant, e_d) + weights.beta * e_couple
 
 
 def total_energy(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant=None):
     """Combined objective: bijectivity plus gamma times coupled smoothness."""
-    e_bij = bijectivity_energy(state, basis_1, basis_2, weights)
-    e_sm = variant_smoothness(state, mesh_1, mesh_2, weights, variant)
-    return e_bij + weights.gamma * e_sm
+    return energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant)["e_total"]
 
 
 def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant=None):
@@ -183,7 +154,7 @@ def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant=N
     """
     bij, couple_spec = bijectivity_terms(state, basis_1, basis_2)
     e_d, couple_spatial = smoothness_terms(state, mesh_1, mesh_2)
-    e_sm = variant_smoothness(state, mesh_1, mesh_2, weights, variant)
+    e_sm = variant_smoothness(state, mesh_1, mesh_2, weights, variant, (e_d, couple_spatial))
     total = weights.spectral_bij * bij + weights.alpha * couple_spec + weights.gamma * e_sm
     return {
         "e_bij": bij,

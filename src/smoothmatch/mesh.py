@@ -267,6 +267,14 @@ def _content_lines(path):
                 yield lineno, line
 
 
+def _check_finite(verts, vertex_lines, path):
+    # one vectorized pass after parsing; the per-line loop stays lean
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if bad.size:
+        raise ValueError("%s:%d: non-finite vertex coordinate" % (path, vertex_lines[bad[0]]))
+    return verts
+
+
 def read_off(path):
     """Parse an ASCII OFF file, returning ``(vertices, faces)``."""
     lines = _content_lines(path)
@@ -294,8 +302,10 @@ def read_off(path):
         raise ValueError("%s:%d: malformed counts line" % (path, lineno))
 
     verts = np.empty((n_verts, 3))
+    vertex_lines = []
     for k in range(n_verts):
         lineno, line = take("vertices")
+        vertex_lines.append(lineno)
         parts = line.split()
         if len(parts) < 3:
             raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
@@ -317,15 +327,16 @@ def read_off(path):
         if len(parts) < 4:
             raise ValueError("%s:%d: malformed face line" % (path, lineno))
         faces[k] = [int(parts[1]), int(parts[2]), int(parts[3])]
-    return verts, faces
+    return _check_finite(verts, vertex_lines, path), faces
 
 
 def read_obj(path):
     """Parse an ASCII OBJ file (``v`` and ``f`` records only)."""
-    verts, faces = [], []
+    verts, faces, vertex_lines = [], [], []
     for lineno, line in _content_lines(path):
         parts = line.split()
         if parts[0] == "v":
+            vertex_lines.append(lineno)
             if len(parts) < 4:
                 raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
             try:
@@ -348,7 +359,8 @@ def read_obj(path):
             faces.append([i - 1 for i in face])
     if not verts:
         raise ValueError("%s: no vertices found" % path)
-    return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)
+    verts = _check_finite(np.asarray(verts, dtype=np.float64), vertex_lines, path)
+    return verts, np.asarray(faces, dtype=np.int64)
 
 
 def write_off(mesh, path):

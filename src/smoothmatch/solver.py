@@ -83,8 +83,6 @@ class SolverState:
         self.y_21 = y_21
         self.aux_12 = None
         self.aux_21 = None
-        self.k_current = None
-        self.iteration = 0
 
 
 class EnergyTrace:
@@ -233,9 +231,10 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
     gammas = config.gamma_schedule()
 
     # map-independent Y-step operators are factored once per mesh
+    operator = _variants.ENERGIES[variant.kind].operator
     solves = []
     for mesh in (mesh_1, mesh_2):
-        op = _variants.y_step_operator(variant, mesh, weights.beta)
+        op = operator(variant, mesh, weights.beta) if weights.beta > 0 else None
         solves.append(_variants.prefactored(op) if op is not None else None)
 
     state = SolverState(pi_12, pi_21)
@@ -246,8 +245,6 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
         w_it = replace(weights, gamma=float(gammas[it]))
         b1 = basis_1.sliced(k)
         b2 = basis_2.sliced(k)
-        state.k_current = k
-        state.iteration = it
 
         state.c_12, state.c_21 = c_step(state, b1, b2, w_it, k)
 

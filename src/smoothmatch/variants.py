@@ -14,28 +14,16 @@ identity transforms.
 """
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsqr, splu
 
+from .energies import a_norm_sq, dirichlet_energy
+
 logger = logging.getLogger(__name__)
-
-VARIANT_KINDS = ("dirichlet", "nicp", "arap", "shells", "rhm")
-
-# Spatial coupling weights per energy.  The area-weighted coupling norm
-# makes the spatial block scale like beta * diam^2 against a spectral
-# block of order k, so the Dirichlet default must sit in the hundreds
-# to act at all on unit-area meshes; the remaining values follow the
-# per-energy tuning of the equivalent deformation solvers.
-DEFAULT_BETA = {
-    "dirichlet": 200.0,
-    "arap": 1e-1,
-    "nicp": 1e-2,
-    "shells": 1e-3,
-    "rhm": 1.0,
-}
 
 
 @dataclass(frozen=True)
@@ -60,7 +48,7 @@ class Variant:
 
     @property
     def default_beta(self):
-        return DEFAULT_BETA[self.kind]
+        return ENERGIES[self.kind].default_beta
 
 
 def prefactored(mat):
@@ -97,7 +85,7 @@ def y_step_dirichlet(pi, mesh_src, mesh_tgt, beta, solve=None):
         # area-weighted centroid of the pulled-back coordinates
         return np.tile(_a_centroid(pulled, a), (mesh_src.n_vertices, 1))
     if solve is None:
-        solve = prefactored(mesh_src.cot_matrix + sparse.diags(beta * a))
+        solve = prefactored(dirichlet_operator(mesh_src, beta))
     return solve(beta * a[:, None] * pulled)
 
 
@@ -212,8 +200,6 @@ def arap_rigid_term(rotations, y, mesh_src):
 
 def arap_energy(rotations, y, mesh_src):
     """Local-rigidity energy; decomposes as E_D(Y) - 2 rigid + E_D(X)."""
-    from .energies import dirichlet_energy
-
     w = mesh_src.cot_matrix
     return (
         dirichlet_energy(y, w)
@@ -337,35 +323,84 @@ def run_y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src,
     ``aux`` carries the variant's auxiliary unknowns (rotations, affine
     field, spectral displacement) for energy reporting.
     """
-    kind = variant.kind
-    if kind == "dirichlet":
-        return y_step_dirichlet(pi_fwd, mesh_src, mesh_tgt, beta, solve=solve), None
-    if kind == "nicp":
-        d, y = y_step_nicp(pi_fwd, mesh_src, mesh_tgt, beta, solve=solve)
-        return y, {"affine": d}
-    if kind == "arap":
-        rot, y = y_step_arap(pi_fwd, mesh_src, mesh_tgt, beta, variant.lam, solve=solve)
-        return y, {"rotations": rot}
-    if kind == "shells":
-        k_def = variant.k_def if variant.k_def is not None else k_current
-        d, y, rot = y_step_shells(
-            pi_fwd, mesh_src, mesh_tgt, basis_src, beta, variant.lam,
-            k_def=k_def, return_rotations=True,
-        )
-        return y, {"d_spec": d, "rotations": rot}
-    if kind == "rhm":
-        y = y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, variant.mu,
-                       dirichlet_solve=solve)
-        return y, None
-    raise ValueError("unknown variant %r" % kind)
+    return ENERGIES[variant.kind].y_step(
+        variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve
+    )
 
 
-def y_step_operator(variant, mesh, beta):
-    """Map-independent Y-step operator for prefactoring, or None."""
-    if variant.kind == "dirichlet" or (variant.kind == "rhm" and variant.mu == 0):
-        return dirichlet_operator(mesh, beta) if beta > 0 else None
-    if variant.kind == "arap":
-        return arap_operator(mesh, beta, variant.lam) if beta > 0 else None
-    if variant.kind == "nicp":
-        return nicp_operator(mesh, beta) if beta > 0 else None
-    return None
+def _aux_sum(state, mesh_1, mesh_2, key, term):
+    """``term(aux[key], y, mesh)`` summed over both map directions."""
+    if state.aux_12 is None or state.aux_21 is None:
+        raise ValueError("this energy needs the Y-steps' %r in both directions; "
+                         "the state has none" % key)
+    return term(state.aux_12[key], state.y_12, mesh_1) + term(state.aux_21[key], state.y_21, mesh_2)
+
+
+def _y_nicp(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve):
+    d, y = y_step_nicp(pi_fwd, mesh_src, mesh_tgt, beta, solve=solve)
+    return y, {"affine": d}
+
+
+def _nicp_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
+    return _aux_sum(state, mesh_1, mesh_2, "affine", lambda d, y, mesh: dirichlet_energy(
+        d.reshape(mesh.n_vertices, 12), mesh.cot_matrix))
+
+
+def _y_arap(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve):
+    rot, y = y_step_arap(pi_fwd, mesh_src, mesh_tgt, beta, variant.lam, solve=solve)
+    return y, {"rotations": rot}
+
+
+def _arap_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
+    # also the shells regularizer: both fit rotations to Pi X_tgt
+    return variant.lam * _aux_sum(state, mesh_1, mesh_2, "rotations", arap_energy)
+
+
+def _y_shells(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve):
+    k_def = variant.k_def if variant.k_def is not None else k_current
+    d, y, rot = y_step_shells(pi_fwd, mesh_src, mesh_tgt, basis_src, beta, variant.lam,
+                              k_def=k_def, return_rotations=True)
+    return y, {"d_spec": d, "rotations": rot}
+
+
+def _rhm_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
+    bij = a_norm_sq(
+        state.y_12[state.pi_21.target_of] - mesh_2.vertices, mesh_2.vertex_areas
+    ) + a_norm_sq(state.y_21[state.pi_12.target_of] - mesh_1.vertices, mesh_1.vertex_areas)
+    return e_dirichlet + variant.mu * bij
+
+
+# The only dispatch on the energy kind.  Per energy: the default beta;
+# the Y-step, with run_y_step's arguments, returning (y, aux); the
+# regularizer, i.e. the smoothness block minus beta * e_couple_spatial;
+# and, for beta > 0, the map-independent Y-step operator or None.
+Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
+
+# The area-weighted coupling norm makes the spatial block scale like
+# beta * diam^2 against a spectral block of order k, so the Dirichlet
+# default must sit in the hundreds to act at all on unit-area meshes;
+# the remaining values follow the per-energy tuning of the equivalent
+# deformation solvers.
+ENERGIES = {
+    "dirichlet": Energy(
+        200.0,
+        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, k, solve: (
+            y_step_dirichlet(pi_fwd, src, tgt, beta, solve=solve), None),
+        lambda state, mesh_1, mesh_2, v, e_dirichlet: e_dirichlet,
+        lambda v, mesh, beta: dirichlet_operator(mesh, beta),
+    ),
+    "nicp": Energy(1e-2, _y_nicp, _nicp_regularizer,
+                   lambda v, mesh, beta: nicp_operator(mesh, beta)),
+    "arap": Energy(1e-1, _y_arap, _arap_regularizer,
+                   lambda v, mesh, beta: arap_operator(mesh, beta, v.lam)),
+    "shells": Energy(1e-3, _y_shells, _arap_regularizer, lambda v, mesh, beta: None),
+    "rhm": Energy(
+        1.0,
+        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, k, solve: (
+            y_step_rhm(pi_fwd, pi_bwd, src, tgt, beta, v.mu, dirichlet_solve=solve), None),
+        _rhm_regularizer,
+        # with mu == 0 the RHM Y-step is the Dirichlet one
+        lambda v, mesh, beta: dirichlet_operator(mesh, beta) if v.mu == 0 else None,
+    ),
+}
+VARIANT_KINDS = tuple(ENERGIES)

@@ -299,3 +299,52 @@ def test_batch_refine_parallel(fixture_dir, tmp_path):
     assert code == 0
     for out in outs:
         assert (out / "map_12.txt").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_failed_pair_does_not_stop_the_rest(fixture_dir, tmp_path, capsys, jobs):
+    # no --src/--tgt/--landmarks/--out: the batch file supplies them
+    batch = tmp_path / "pairs.txt"
+    good = tmp_path / "good"
+    batch.write_text(
+        "%s %s %s %s\n%s %s %s %s\n" % (
+            tmp_path / "missing.off", fixture_dir / "tgt.off", fixture_dir / "lm5.txt",
+            tmp_path / "bad",
+            fixture_dir / "src.off", fixture_dir / "tgt.off", fixture_dir / "lm5.txt", good,
+        )
+    )
+    code = main([
+        "refine", "--pairs", str(batch), "--jobs", jobs,
+        "--k-init", "5", "--k-final", "10", "--iters", "2",
+    ])
+    status = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("pair ")]
+    assert code == 2
+    assert (good / "map_12.txt").exists()
+    assert len(status) == 2
+    assert status[0].startswith("pair 1/2 ") and status[0].endswith(": exit 2")
+    assert status[1].startswith("pair 2/2 ") and status[1].endswith(": ok")
+
+
+def test_refine_without_pairs_still_requires_flags(fixture_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "--src", str(fixture_dir / "src.off")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tgt" in err and "--out" in err and "--landmarks" in err
+
+
+def test_eval_non_finite_mesh_exits_2(fixture_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.off"
+    lines = (fixture_dir / "src.off").read_text().splitlines()
+    lines[2] = "nan 0 1"             # first vertex line
+    bad.write_text("\n".join(lines) + "\n")
+    n = load_mesh(fixture_dir / "tgt.off").n_vertices
+    map_path = tmp_path / "ident.txt"
+    sm_io.write_pointwise_map(map_path, PointwiseMap(np.arange(n), n))
+    code = main([
+        "eval", "--src", str(bad), "--tgt", str(fixture_dir / "tgt.off"),
+        "--map12", str(map_path),
+    ])
+    assert code == 2
+    assert "bad.off:3: non-finite vertex coordinate" in capsys.readouterr().err

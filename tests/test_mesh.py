@@ -69,6 +69,17 @@ def test_off_parse_error_carries_line_number(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("nan.off", "OFF\n3 1 0\n0 0 0\n# comment\nnan 0 1\n0 1 0\n3 0 1 2\n", 5),
+    ("inf.obj", "v 0 0 0\nv inf 0 1\nv 0 1 0\nf 1 2 3\n", 2),
+])
+def test_non_finite_vertex_rejected_with_line(tmp_path, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match="%s:%d: non-finite vertex coordinate" % (name, line)):
+        load_mesh(path)
+
+
 def test_obj_face_with_texture_indices(tmp_path):
     path = tmp_path / "tex.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2 3/3\n")

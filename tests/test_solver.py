@@ -17,7 +17,7 @@ from smoothmatch.solver import (
 )
 from smoothmatch.spectral import PointwiseMap, compute_basis, fmap_to_p2p
 from smoothmatch.synth import farthest_point_indices, icosphere
-from smoothmatch.variants import Variant
+from smoothmatch.variants import VARIANT_KINDS, Variant
 
 
 def identity_map(mesh):
@@ -133,7 +133,7 @@ def test_pi_step_exact_matches_bruteforce(rng):
 # ----------------------------------------------------------------------
 def test_refine_identity_fixture_all_variants(sphere2, sphere2_basis):
     ident = identity_map(sphere2)
-    for kind in ("dirichlet", "nicp", "arap", "shells", "rhm"):
+    for kind in VARIANT_KINDS:
         cfg = SolverConfig(variant=Variant(kind))
         pi_12, pi_21, trace = refine(
             ident, ident, sphere2, sphere2, sphere2_basis, sphere2_basis, cfg

@@ -4,6 +4,7 @@ import pytest
 from oracles import nearest_rows_slow, dense_pi
 from conftest import hull_mesh, random_map
 
+from smoothmatch import spectral
 from smoothmatch.spectral import (
     PointwiseMap,
     compute_basis,
@@ -195,12 +196,12 @@ def test_nearest_tie_breaks_to_smaller_index():
 
 def test_nearest_tie_break_tree_path(rng):
     # duplicate rows in the tree branch must also resolve to the
-    # smallest data index
-    base = rng.normal(size=(4000, 3))
+    # smallest data index; 5000 x 5100 pairs exceed the brute-force limit
+    base = rng.normal(size=(5000, 3))
     data = np.vstack([base, base[:100]])
-    queries = base[:100]
-    out = nearest_rows(queries, data)
-    assert np.array_equal(out, np.arange(100))
+    assert base.shape[0] * data.shape[0] > spectral._BRUTE_FORCE_PAIRS
+    out = nearest_rows(base, data)
+    assert np.array_equal(out, np.arange(5000))
 
 
 def test_nearest_permutation_covariant(rng):

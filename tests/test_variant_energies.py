@@ -11,6 +11,7 @@ from smoothmatch.energies import (
 )
 from smoothmatch.solver import SolverState
 from smoothmatch.variants import (
+    VARIANT_KINDS,
     Variant,
     arap_energy,
     nicp_operator,
@@ -58,7 +59,7 @@ def test_variant_smoothness_branches_match_direct_formulas(rng):
     m1, m2 = hull_mesh(rng, 20), hull_mesh(rng, 22)
     b1, b2 = compute_basis(m1, 6), compute_basis(m2, 6)
 
-    for kind in ("nicp", "arap", "shells", "rhm"):
+    for kind in VARIANT_KINDS:
         variant, w, state = _state_with_y_steps(rng, kind, m1, m2, b1, b2)
         got = variant_smoothness(state, m1, m2, w, variant)
 
@@ -78,7 +79,13 @@ def test_variant_smoothness_branches_match_direct_formulas(rng):
                 + variant.lam * arap_energy(state.aux_21["rotations"], state.y_21, m2)
                 + w.beta * couple
             )
-        else:   # rhm
+        elif kind == "dirichlet":
+            want = (
+                dirichlet_energy(state.y_12, m1.cot_matrix)
+                + dirichlet_energy(state.y_21, m2.cot_matrix)
+                + w.beta * couple
+            )
+        elif kind == "rhm":
             bij = a_norm_sq(
                 state.y_12[state.pi_21.target_of] - m2.vertices, m2.vertex_areas
             ) + a_norm_sq(
@@ -90,7 +97,21 @@ def test_variant_smoothness_branches_match_direct_formulas(rng):
                 + w.beta * couple
                 + variant.mu * bij
             )
+        else:
+            pytest.fail("no direct formula for the %s energy" % kind)
         assert got == pytest.approx(want, rel=1e-10), kind
+
+
+@pytest.mark.parametrize("kind", ["nicp", "arap", "shells"])
+def test_variant_smoothness_without_aux_raises(rng, kind):
+    # these energies read the Y-steps' auxiliary unknowns; a state
+    # without them must not be reported with the Dirichlet form
+    m1, m2 = hull_mesh(rng, 15), hull_mesh(rng, 15)
+    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
+    state.y_12 = state.pi_12.pull(m2.vertices)
+    state.y_21 = state.pi_21.pull(m1.vertices)
+    with pytest.raises(ValueError, match="needs the Y-steps'"):
+        variant_smoothness(state, m1, m2, EnergyWeights(), Variant(kind))
 
 
 def test_variant_smoothness_accepts_string_kind(rng):
