@@ -114,12 +114,13 @@ def _exit_code(command, args):
     """Run one command; input errors exit 2, solver errors exit 1."""
     try:
         return command(args)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError but is a failed solve, not bad input
+        print("solver error: %s" % exc, file=sys.stderr)
+        return EXIT_SOLVER
     except (FileNotFoundError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except RuntimeError as exc:
-        print("solver error: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
 
 
 def _require(path, what):
@@ -146,7 +147,8 @@ def _print_config(config, args):
     for obj in (config.variant, config, config.weights):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            if dataclasses.is_dataclass(value):
+            # weights.gamma is overwritten by the gamma_init/gamma_final schedule
+            if dataclasses.is_dataclass(value) or f.name == "gamma":
                 continue
             if isinstance(value, float):
                 value = "%g" % value
@@ -237,7 +239,7 @@ def _run_batch(args):
     run = functools.partial(_exit_code, _cmd_refine)
     parallel = args.jobs > 1 and len(jobs) > 1
     worst = EXIT_OK
-    with ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(args.jobs) if parallel else nullcontext() as pool:
         # both maps yield in batch order as the pairs finish
         codes = pool.map(run, jobs) if parallel else map(run, jobs)
         for i, (sub, code) in enumerate(zip(jobs, codes), start=1):

@@ -57,6 +57,9 @@ class SolverConfig:
             raise ValueError("a geometric gamma ramp needs gamma_init > 0")
         if self.weights is None:
             self.weights = EnergyWeights(beta=self.variant.default_beta)
+        if self.weights.gamma != 1.0:
+            raise ValueError("weights.gamma is set per iteration from gamma_init and "
+                             "gamma_final; set those instead")
 
     def k_schedule(self):
         """Spectral sizes per iteration, linear from k_init to k_final."""

@@ -13,25 +13,20 @@ pointwise map from ``C`` matches rows of ``Phi_src @ C`` against rows of
 ``Phi_tgt``; both conversions below use this one convention.
 """
 
-import os
-
 import numpy as np
 from scipy import linalg as dense_linalg
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 # below this vertex count the dense generalized eigensolver is both
 # faster and free of ARPACK's k < n-1 restriction
 _DENSE_EIGEN_LIMIT = 400
 
-# pairwise-distance matrices up to this many entries are computed brute
-# force; beyond it a k-d tree is used for low dimensions.  Brute-force
-# chunks are kept small enough to bound transient memory.
-_BRUTE_FORCE_PAIRS = 20_000_000
-_BRUTE_CHUNK_PAIRS = 4_000_000
-_TREE_MAX_DIM = 12
+# nearest-neighbour queries run in blocks of query rows sized so that a
+# block's distance matrix holds about this many entries (32 MB of
+# float64), which bounds transient memory whatever the query count
+_CHUNK_PAIRS = 4_000_000
 
 
 class SpectralBasis:
@@ -214,20 +209,11 @@ def fmap_to_p2p(c, basis_src, basis_tgt):
     return PointwiseMap(idx, basis_tgt.n)
 
 
-def _workers():
-    cap = os.environ.get("SMOOTHMATCH_THREADS", "")
-    try:
-        return max(1, int(cap)) if cap else -1
-    except ValueError:
-        return -1
-
-
 def nearest_rows(queries, data):
     """Index of the Euclidean-nearest data row for every query row.
 
-    Exact search: a k-d tree is used only where it wins (low dimension,
-    many rows) and its result is corrected to the brute-force tie rule
-    (smallest data index among exact minima).
+    Exact brute force: ``cdist(block, data).argmin(axis=1)`` over blocks
+    of query rows, so ties break to the smallest data index.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -236,27 +222,7 @@ def nearest_rows(queries, data):
     if queries.shape[1] != data.shape[1]:
         raise ValueError("dimension mismatch: %d vs %d" % (queries.shape[1], data.shape[1]))
 
-    n_pairs = queries.shape[0] * data.shape[0]
-    if data.shape[1] > _TREE_MAX_DIM or n_pairs <= _BRUTE_FORCE_PAIRS:
-        return _nearest_brute(queries, data)
-
-    tree = cKDTree(data)
-    k = min(2, data.shape[0])
-    dist, idx = tree.query(queries, k=k, workers=_workers())
-    if k == 1:
-        return np.asarray(idx, dtype=np.int64).ravel()
-    best = idx[:, 0].astype(np.int64)
-    tied = dist[:, 1] <= dist[:, 0]
-    for q in np.flatnonzero(tied):
-        cands = tree.query_ball_point(queries[q], dist[q, 0])
-        if cands:
-            best[q] = min(cands)
-    return best
-
-
-def _nearest_brute(queries, data, chunk_rows=None):
-    if chunk_rows is None:
-        chunk_rows = max(1, _BRUTE_CHUNK_PAIRS // max(1, data.shape[0]))
+    chunk_rows = max(1, _CHUNK_PAIRS // data.shape[0])
     out = np.empty(queries.shape[0], dtype=np.int64)
     for start in range(0, queries.shape[0], chunk_rows):
         block = queries[start : start + chunk_rows]

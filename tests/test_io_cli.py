@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_map
 
 from smoothmatch import io as sm_io
-from smoothmatch.cli import main
+from smoothmatch.cli import _exit_code, main
 from smoothmatch.mesh import geodesic_distances, load_mesh
 from smoothmatch.metrics import compute_report
 from smoothmatch.spectral import PointwiseMap
@@ -14,21 +16,28 @@ from smoothmatch.synth import farthest_point_indices
 # ----------------------------------------------------------------------
 # text formats
 # ----------------------------------------------------------------------
-def test_pointwise_map_roundtrip(tmp_path, rng):
-    pi = PointwiseMap(rng.integers(0, 50, 80), 50)
-    path = tmp_path / "map.txt"
+@st.composite
+def _pointwise_maps(draw):
+    n_tgt = draw(st.integers(1, 2**62))
+    return PointwiseMap(draw(st.lists(st.integers(0, n_tgt - 1), min_size=1)), n_tgt)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pi=_pointwise_maps())
+def test_pointwise_map_roundtrip(tmp_path_factory, pi):
+    path = tmp_path_factory.mktemp("map") / "map.txt"
     sm_io.write_pointwise_map(path, pi)
-    back = sm_io.read_pointwise_map(path, 50)
-    assert back == pi
+    assert sm_io.read_pointwise_map(path, pi.n_tgt) == pi
 
 
-def test_fmap_roundtrip(tmp_path, rng):
-    c = rng.normal(size=(7, 5))
-    path = tmp_path / "fmap.txt"
+@settings(max_examples=50, deadline=None)
+@given(c=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_fmap_roundtrip(tmp_path_factory, c):
+    path = tmp_path_factory.mktemp("fmap") / "fmap.txt"
     sm_io.write_fmap(path, c)
-    header = path.read_text().split("\n")[0]
-    assert header == "7 5"
-    assert np.array_equal(sm_io.read_fmap(path), c)
+    assert path.read_text().split("\n")[0] == "%d %d" % c.shape
+    assert sm_io.read_fmap(path).tobytes() == c.tobytes()
 
 
 def test_ground_truth_two_formats(tmp_path):
@@ -167,6 +176,16 @@ def test_refine_print_config(fixture_dir, tmp_path, capsys):
     assert "energy rhm" in out
     assert "beta 1" in out          # per-energy default
     assert "mu 10000" in out
+    assert "gamma_init 0.1" in out
+    # weights.gamma is schedule-owned and not printed
+    assert "gamma" not in [line.split()[0] for line in out.splitlines()]
+
+
+def test_singular_solve_is_solver_failure(capsys):
+    # LinAlgError subclasses ValueError yet is a failed solve, not bad input
+    code = _exit_code(lambda args: np.linalg.solve(np.zeros((2, 2)), np.ones(2)), None)
+    assert code == 1
+    assert "solver error" in capsys.readouterr().err
 
 
 def test_eval_identity_accuracy_zero(fixture_dir, tmp_path, capsys):

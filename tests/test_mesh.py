@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import cot_weights_slow, dijkstra_slow
 from conftest import hull_mesh
@@ -99,12 +101,26 @@ def test_missing_file():
         load_mesh("/nonexistent/mesh.off")
 
 
-def test_off_roundtrip(tmp_path, rng):
-    mesh = hull_mesh(rng, 30, normalize=False)
-    write_off(mesh, tmp_path / "m.off")
-    back = load_mesh(tmp_path / "m.off", normalize=False)
+@st.composite
+def _meshes(draw):
+    n = draw(st.integers(3, 12))
+    verts = draw(arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False,
+                                                                 allow_infinity=False)))
+    face = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    return TriMesh(verts, draw(st.lists(face, min_size=1, max_size=8)))
+
+
+@pytest.mark.filterwarnings("ignore:.*isolated vertices")
+@settings(max_examples=50, deadline=None)
+@given(mesh=_meshes())
+def test_off_roundtrip(tmp_path_factory, mesh):
+    # %.17g writes every finite double back bit for bit, -0.0 and
+    # subnormals included
+    path = tmp_path_factory.mktemp("off") / "m.off"
+    write_off(mesh, path)
+    back = load_mesh(path, normalize=False)
     assert np.array_equal(back.faces, mesh.faces)
-    assert np.allclose(back.vertices, mesh.vertices, atol=0, rtol=0)
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
 
 
 def test_degenerate_face_rejected():

@@ -223,6 +223,14 @@ def test_schedule_edge_cases():
         SolverConfig(gamma_init=0.0, gamma_final=1.0)
 
 
+def test_weights_gamma_is_owned_by_schedule():
+    # refine overwrites weights.gamma every iteration, so any other value
+    # would be silently ignored
+    with pytest.raises(ValueError, match="gamma_init and gamma_final"):
+        SolverConfig(weights=EnergyWeights(gamma=0.5))
+    assert SolverConfig(weights=EnergyWeights(beta=2.0)).weights.gamma == 1.0
+
+
 def test_trace_csv_roundtrip(sphere2, sphere2_basis):
     ident = identity_map(sphere2)
     _, _, trace = refine(ident, ident, sphere2, sphere2, sphere2_basis,

@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from oracles import nearest_rows_slow, dense_pi
 from conftest import hull_mesh, random_map
@@ -178,8 +183,8 @@ def test_nearest_matches_bruteforce(rng):
     assert np.array_equal(fast, slow)
 
 
-def test_nearest_tree_path_matches_bruteforce(rng):
-    # low dimension and enough pairs to exercise the k-d tree branch
+def test_nearest_large_low_dim_matches_bruteforce(rng):
+    # 6000 x 5000 pairs in 3-D: exact over eight query blocks
     queries = rng.normal(size=(6000, 3))
     data = rng.normal(size=(5000, 3))
     fast = nearest_rows(queries, data)
@@ -194,12 +199,11 @@ def test_nearest_tie_breaks_to_smaller_index():
     assert out[1] in (0, 1)
 
 
-def test_nearest_tie_break_tree_path(rng):
-    # duplicate rows in the tree branch must also resolve to the
-    # smallest data index; 5000 x 5100 pairs exceed the brute-force limit
+def test_nearest_large_low_dim_ties_to_smaller_index(rng):
+    # duplicate rows resolve to the smallest data index in every one of
+    # the seven query blocks of a 5000 x 5100 search
     base = rng.normal(size=(5000, 3))
     data = np.vstack([base, base[:100]])
-    assert base.shape[0] * data.shape[0] > spectral._BRUTE_FORCE_PAIRS
     out = nearest_rows(base, data)
     assert np.array_equal(out, np.arange(5000))
 
@@ -211,6 +215,38 @@ def test_nearest_permutation_covariant(rng):
     base = nearest_rows(queries, data)
     permuted = nearest_rows(queries, data[perm])
     assert np.array_equal(perm[permuted], base)
+
+
+@st.composite
+def _tie_heavy_search(draw):
+    """Queries, data and a query block size; small-integer coordinates,
+    planted duplicate data rows and queries copied from data rows make
+    exact ties common."""
+    dim = draw(st.integers(1, 6))
+    coords = st.integers(-3, 3).map(float)
+    data = draw(arrays(np.float64, (draw(st.integers(1, 30)), dim), elements=coords))
+    copies = draw(st.lists(st.integers(0, data.shape[0] - 1), max_size=10))
+    data = np.vstack([data, data[copies]])
+    data = data[draw(st.permutations(range(data.shape[0])))]
+    hits = draw(st.lists(st.integers(0, data.shape[0] - 1), max_size=20))
+    free = draw(arrays(np.float64, (draw(st.integers(0, 20)), dim), elements=coords))
+    queries = np.vstack([data[hits], free])
+    queries = queries[draw(st.permutations(range(queries.shape[0])))]
+    return queries, data, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_search())
+def test_nearest_equals_cdist_argmin(case):
+    queries, data, block_rows = case
+    # a chunk size of a few query rows puts tied queries in different blocks
+    with mock.patch.object(spectral, "_CHUNK_PAIRS", block_rows * data.shape[0]):
+        out = nearest_rows(queries, data)
+    assert np.array_equal(out, cdist(queries, data).argmin(axis=1))
+    for q, j in zip(queries, out):
+        equal = np.flatnonzero((data == q).all(axis=1))
+        if equal.size:
+            assert j == equal[0]
 
 
 def test_nearest_errors(rng):
