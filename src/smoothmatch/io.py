@@ -19,8 +19,16 @@ def write_pointwise_map(path, pi):
             fh.write("%d\n" % t)
 
 
+def _read_ints(path, ndmin):
+    # numpy's parse error names the row and column but not the file
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=ndmin)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
 def read_pointwise_map(path, n_tgt):
-    idx = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    idx = _read_ints(path, 1)
     if idx.ndim != 1:
         raise ValueError("%s: expected one index per line" % path)
     return PointwiseMap(idx, n_tgt)
@@ -56,7 +64,7 @@ def write_index_pairs(path, pairs):
 
 
 def read_index_pairs(path):
-    pairs = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    pairs = _read_ints(path, 2)
     if pairs.shape[1] != 2:
         raise ValueError("%s: expected two indices per line" % path)
     return pairs
@@ -68,7 +76,7 @@ def read_ground_truth(path):
     Accepts either the sparse two-column pair format or a full
     pointwise-map file (one target index per line).
     """
-    data = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    data = _read_ints(path, 2)
     if data.shape[1] == 2:
         return data[:, 0], data[:, 1]
     if data.shape[1] == 1:

@@ -267,12 +267,16 @@ def _content_lines(path):
                 yield lineno, line
 
 
-def _check_finite(verts, vertex_lines, path):
-    # one vectorized pass after parsing; the per-line loop stays lean
+def _checked(path, verts, vertex_lines, faces, face_lines):
+    # one vectorized pass after parsing; the per-line loops stay lean
     bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
     if bad.size:
         raise ValueError("%s:%d: non-finite vertex coordinate" % (path, vertex_lines[bad[0]]))
-    return verts
+    out = (faces < 0) | (faces >= len(verts))
+    if out.any():
+        bad = np.flatnonzero(out.any(axis=-1))
+        raise ValueError("%s:%d: face index out of range" % (path, face_lines[bad[0]]))
+    return verts, faces
 
 
 def read_off(path):
@@ -298,6 +302,8 @@ def read_off(path):
         raise ValueError("%s:%d: malformed counts line" % (path, lineno))
     try:
         n_verts, n_faces = int(counts[0]), int(counts[1])
+        if n_verts < 0 or n_faces < 0:
+            raise ValueError
     except ValueError:
         raise ValueError("%s:%d: malformed counts line" % (path, lineno))
 
@@ -315,8 +321,10 @@ def read_off(path):
             raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
 
     faces = np.empty((n_faces, 3), dtype=np.int64)
+    face_lines = []
     for k in range(n_faces):
         lineno, line = take("faces")
+        face_lines.append(lineno)
         parts = line.split()
         try:
             arity = int(parts[0])
@@ -327,12 +335,12 @@ def read_off(path):
         if len(parts) < 4:
             raise ValueError("%s:%d: malformed face line" % (path, lineno))
         faces[k] = [int(parts[1]), int(parts[2]), int(parts[3])]
-    return _check_finite(verts, vertex_lines, path), faces
+    return _checked(path, verts, vertex_lines, faces, face_lines)
 
 
 def read_obj(path):
     """Parse an ASCII OBJ file (``v`` and ``f`` records only)."""
-    verts, faces, vertex_lines = [], [], []
+    verts, faces, vertex_lines, face_lines = [], [], [], []
     for lineno, line in _content_lines(path):
         parts = line.split()
         if parts[0] == "v":
@@ -344,6 +352,7 @@ def read_obj(path):
             except ValueError:
                 raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
         elif parts[0] == "f":
+            face_lines.append(lineno)
             idx = parts[1:]
             if len(idx) != 3:
                 raise ValueError(
@@ -359,8 +368,8 @@ def read_obj(path):
             faces.append([i - 1 for i in face])
     if not verts:
         raise ValueError("%s: no vertices found" % path)
-    verts = _check_finite(np.asarray(verts, dtype=np.float64), vertex_lines, path)
-    return verts, np.asarray(faces, dtype=np.int64)
+    return _checked(path, np.asarray(verts, dtype=np.float64), vertex_lines,
+                    np.asarray(faces, dtype=np.int64), face_lines)
 
 
 def write_off(mesh, path):

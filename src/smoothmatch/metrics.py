@@ -5,6 +5,10 @@ live in a convenient magnitude range; smoothness is the raw Dirichlet
 energy of the map and coverage is a percentage of target area.  All
 metrics are intrinsic (edge lengths, areas) and therefore invariant to
 rigid motions and to face relabeling.
+
+On disconnected meshes a geodesic between components is inf: accuracy
+is inf when a scored pair lies in different components, bijectivity is
+inf when a round trip crosses them, and the other metrics stay finite.
 """
 
 from dataclasses import dataclass
@@ -68,6 +72,12 @@ def accuracy_metric(pi, gt_src, gt_tgt, mesh_tgt):
     gt_tgt = np.asarray(gt_tgt, dtype=np.int64)
     if gt_src.size == 0:
         raise ValueError("empty ground-truth set")
+    if gt_src.shape != gt_tgt.shape:
+        raise ValueError("ground truth has %d source and %d target indices"
+                         % (gt_src.size, gt_tgt.size))
+    for idx, n, side in ((gt_src, pi.n_src, "source"), (gt_tgt, mesh_tgt.n_vertices, "target")):
+        if idx.min() < 0 or idx.max() >= n:
+            raise ValueError("ground-truth %s index out of range [0, %d)" % (side, n))
     mapped = pi.target_of[gt_src]
     d = _distance_lookup(mesh_tgt, mapped, gt_tgt)
     return GEODESIC_SCALE * float(d.mean())
@@ -95,21 +105,29 @@ def coverage_metric(pi, target_areas):
     return 100.0 * float(target_areas[hit].sum() / target_areas.sum())
 
 
-def _triangle_frame(p0, p1, p2):
-    # 2D coordinates of a triangle in its own plane; returns (2, 2)
-    # columns [p1-p0, p2-p0] expressed in an orthonormal frame
-    e1 = p1 - p0
-    e2 = p2 - p0
-    n1 = np.linalg.norm(e1)
-    if n1 == 0:
-        return None
-    u = e1 / n1
-    e2p = e2 - np.dot(e2, u) * u
-    n2 = np.linalg.norm(e2p)
-    if n2 == 0:
-        return None
-    v = e2p / n2
-    return np.array([[n1, np.dot(e2, u)], [0.0, np.dot(e2, v)]])
+def _face_frames(verts, faces):
+    # 2D coordinates of every triangle in its own plane: (m, 2, 2) columns
+    # [p1-p0, p2-p0] in an orthonormal frame, and a mask of the faces that
+    # span a plane.  Row dot products go through vecdot, which rounds like
+    # np.dot and np.linalg.norm (einsum does not); collapsed faces give
+    # nan frames that the mask excludes.
+    e1 = verts[faces[:, 1]] - verts[faces[:, 0]]
+    e2 = verts[faces[:, 2]] - verts[faces[:, 0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = np.sqrt(np.vecdot(e1, e1))
+        u = e1 / n1[:, None]
+        a = np.vecdot(e2, u)
+        e2p = e2 - a[:, None] * u
+        n2 = np.sqrt(np.vecdot(e2p, e2p))
+        b = np.vecdot(e2, e2p / n2[:, None])
+    frames = np.zeros((len(faces), 2, 2))
+    frames[:, 0, 0], frames[:, 0, 1], frames[:, 1, 1] = n1, a, b
+    return frames, (n1 != 0) & (n2 != 0)
+
+
+def _running_sum(x):
+    # left-to-right sum from 0.0, as a `+=` loop gives; .sum() is pairwise
+    return np.cumsum(np.append(0.0, x))[-1]
 
 
 def conformal_distortion(pi, mesh_src, mesh_tgt, return_collapsed=False):
@@ -120,32 +138,19 @@ def conformal_distortion(pi, mesh_src, mesh_tgt, return_collapsed=False):
     maps, including uniform scaling).  Faces with collapsed images are
     excluded from the mean and counted separately.
     """
-    verts_src = mesh_src.vertices
-    verts_img = pi.pull(mesh_tgt.vertices)
-    areas = mesh_src.face_areas
-
-    total = 0.0
-    weight = 0.0
-    collapsed = 0
-    for f, face in enumerate(mesh_src.faces):
-        p = _triangle_frame(verts_src[face[0]], verts_src[face[1]], verts_src[face[2]])
-        q = _triangle_frame(verts_img[face[0]], verts_img[face[1]], verts_img[face[2]])
-        if p is None:
-            collapsed += 1
-            continue
-        if q is None:
-            collapsed += 1
-            continue
-        jac = q @ np.linalg.inv(p)
-        s = np.linalg.svd(jac, compute_uv=False)
-        if s[1] <= 1e-12 * max(s[0], 1e-300):
-            collapsed += 1
-            continue
-        total += areas[f] * (s[0] / s[1])
-        weight += areas[f]
+    faces = mesh_src.faces
+    p, p_ok = _face_frames(mesh_src.vertices, faces)
+    q, q_ok = _face_frames(pi.pull(mesh_tgt.vertices), faces)
+    ok = p_ok & q_ok
+    s = np.linalg.svd(q[ok] @ np.linalg.inv(p[ok]), compute_uv=False)
+    # not (<=) rather than >: a nan face is kept, as in the per-face oracle
+    kept = ~(s[:, 1] <= 1e-12 * np.maximum(s[:, 0], 1e-300))
+    areas = mesh_src.face_areas[ok][kept]
+    total = _running_sum(areas * (s[kept, 0] / s[kept, 1]))
+    weight = _running_sum(areas)
     mean = total / weight if weight > 0 else float("inf")
     if return_collapsed:
-        return mean, collapsed
+        return mean, len(faces) - int(kept.sum())
     return mean
 
 

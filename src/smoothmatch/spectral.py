@@ -64,12 +64,6 @@ class SpectralBasis:
             raise ValueError("requested %d eigenpairs, basis holds %d" % (k, self.k))
         return SpectralBasis(self.phi[:, :k], self.lam[:k], self.areas)
 
-    def project(self, values):
-        """Spectral coefficients of per-vertex values: ``Phi.T A values``."""
-        values = np.asarray(values, dtype=np.float64)
-        return self.phi.T @ (self.areas[:, None] * values if values.ndim == 2
-                             else self.areas * values)
-
 
 class PointwiseMap:
     """Vertex-to-vertex assignment, stored as a target index array.

@@ -172,3 +172,42 @@ def pi_step_exact_slow(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weight
                 best, best_val = p, val
         out[q] = best
     return out
+
+
+def _triangle_frame_slow(p0, p1, p2):
+    # columns [p1-p0, p2-p0] in an orthonormal frame of the triangle's
+    # plane, or None when the edges span no plane
+    e1 = p1 - p0
+    e2 = p2 - p0
+    n1 = np.linalg.norm(e1)
+    if n1 == 0:
+        return None
+    u = e1 / n1
+    e2p = e2 - np.dot(e2, u) * u
+    n2 = np.linalg.norm(e2p)
+    if n2 == 0:
+        return None
+    v = e2p / n2
+    return np.array([[n1, np.dot(e2, u)], [0.0, np.dot(e2, v)]])
+
+
+def conformal_slow(pi, mesh_src, mesh_tgt):
+    """Per-face loop: (area-weighted mean s1/s2, collapsed-face count)."""
+    verts_img = pi.pull(mesh_tgt.vertices)
+    areas = mesh_src.face_areas
+    total = 0.0
+    weight = 0.0
+    collapsed = 0
+    for f, (i, j, k) in enumerate(mesh_src.faces):
+        p = _triangle_frame_slow(*mesh_src.vertices[[i, j, k]])
+        q = _triangle_frame_slow(*verts_img[[i, j, k]])
+        if p is None or q is None:
+            collapsed += 1
+            continue
+        s = np.linalg.svd(q @ np.linalg.inv(p), compute_uv=False)
+        if s[1] <= 1e-12 * max(s[0], 1e-300):
+            collapsed += 1
+            continue
+        total += areas[f] * (s[0] / s[1])
+        weight += areas[f]
+    return (total / weight if weight > 0 else float("inf")), collapsed

@@ -7,10 +7,10 @@ from conftest import random_map
 
 from smoothmatch import io as sm_io
 from smoothmatch.cli import _exit_code, main
-from smoothmatch.mesh import geodesic_distances, load_mesh
+from smoothmatch.mesh import TriMesh, geodesic_distances, load_mesh, write_off
 from smoothmatch.metrics import compute_report
 from smoothmatch.spectral import PointwiseMap
-from smoothmatch.synth import farthest_point_indices
+from smoothmatch.synth import farthest_point_indices, icosphere
 
 
 # ----------------------------------------------------------------------
@@ -38,6 +38,28 @@ def test_fmap_roundtrip(tmp_path_factory, c):
     sm_io.write_fmap(path, c)
     assert path.read_text().split("\n")[0] == "%d %d" % c.shape
     assert sm_io.read_fmap(path).tobytes() == c.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(pairs=arrays(np.int64, st.tuples(st.integers(1, 20), st.just(2)),
+                    elements=st.integers(0, 2**63 - 1)))
+def test_index_pairs_roundtrip(tmp_path_factory, pairs):
+    path = tmp_path_factory.mktemp("pairs") / "pairs.txt"
+    sm_io.write_index_pairs(path, pairs)
+    back = sm_io.read_index_pairs(path)
+    assert back.shape == pairs.shape and back.tobytes() == pairs.tobytes()
+
+
+@pytest.mark.parametrize("reader, text", [
+    (lambda p: sm_io.read_pointwise_map(p, 10), "1\n1.5\n"),
+    (sm_io.read_index_pairs, "0 1\n2 1.5\n"),
+    (sm_io.read_ground_truth, "0 1\n2 1.5\n"),
+], ids=["pointwise_map", "index_pairs", "ground_truth"])
+def test_integer_file_parse_error_names_file(tmp_path, reader, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"bad\.txt: could not convert string '1\.5'"):
+        reader(path)
 
 
 def test_ground_truth_two_formats(tmp_path):
@@ -367,3 +389,40 @@ def test_eval_non_finite_mesh_exits_2(fixture_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "bad.off:3: non-finite vertex coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gt_text", ["-1 3\n", "1 999\n", "\n".join(map(str, range(167)))],
+                         ids=["negative", "past_target", "full_map_too_long"])
+def test_eval_bad_ground_truth_exits_2(fixture_dir, tmp_path, capsys, gt_text):
+    n = load_mesh(fixture_dir / "src.off").n_vertices
+    map_path = tmp_path / "ident.txt"
+    sm_io.write_pointwise_map(map_path, PointwiseMap(np.arange(n), n))
+    gt = tmp_path / "gt.txt"
+    gt.write_text(gt_text)
+    code = main([
+        "eval", "--src", str(fixture_dir / "src.off"), "--tgt", str(fixture_dir / "tgt.off"),
+        "--map12", str(map_path), "--gt", str(gt),
+    ])
+    assert code == 2
+    assert "error: ground-truth" in capsys.readouterr().err
+
+
+def test_eval_disconnected_mesh_prints_inf(tmp_path, capsys):
+    # a component-swapping map on two disjoint spheres: accuracy and
+    # bijectivity are inf, the run still succeeds
+    sphere = icosphere(1)
+    n = sphere.n_vertices
+    write_off(TriMesh(np.vstack([sphere.vertices, sphere.vertices + 3.0]),
+                      np.vstack([sphere.faces, sphere.faces + n])), tmp_path / "two.off")
+    swap, ident = tmp_path / "swap.txt", tmp_path / "ident.txt"
+    sm_io.write_pointwise_map(swap, PointwiseMap((np.arange(2 * n) + n) % (2 * n), 2 * n))
+    sm_io.write_pointwise_map(ident, PointwiseMap(np.arange(2 * n), 2 * n))
+    mesh = str(tmp_path / "two.off")
+    code = main(["eval", "--src", mesh, "--tgt", mesh, "--map12", str(swap),
+                 "--map21", str(ident), "--gt", str(ident), "--conformal"])
+    out = capsys.readouterr().out.strip().split("\n")
+    assert code == 0
+    assert out[0] == "accuracy,bijectivity,smoothness,coverage,conformal"
+    vals = out[1].split(",")
+    assert vals[:2] == ["inf", "inf"]
+    assert all(np.isfinite(float(v)) for v in vals[2:])

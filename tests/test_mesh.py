@@ -82,6 +82,21 @@ def test_non_finite_vertex_rejected_with_line(tmp_path, name, text, line):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("name, text, line, message", [
+    ("far.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n# c\n3 0 1 3\n", 8,
+     "face index out of range"),
+    ("neg.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 -1 2\n", 6, "face index out of range"),
+    ("far.obj", "v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nf 1 2 5\n", 5, "face index out of range"),
+    ("counts.off", "OFF\n-3 1 0\n", 2, "malformed counts line"),
+    ("inline.off", "OFF 3 -1 0\n0 0 0\n1 0 0\n0 1 0\n", 1, "malformed counts line"),
+], ids=["off_face", "off_negative_face", "obj_face", "off_counts", "off_inline_counts"])
+def test_bad_mesh_rejected_with_line(tmp_path, name, text, line, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match="%s:%d: %s" % (name, line, message)):
+        load_mesh(path)
+
+
 def test_obj_face_with_texture_indices(tmp_path):
     path = tmp_path / "tex.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2 3/3\n")
@@ -121,6 +136,18 @@ def test_off_roundtrip(tmp_path_factory, mesh):
     back = load_mesh(path, normalize=False)
     assert np.array_equal(back.faces, mesh.faces)
     assert back.vertices.tobytes() == mesh.vertices.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:.*isolated vertices")
+@settings(max_examples=50, deadline=None)
+@given(mesh=_meshes())
+def test_obj_roundtrip(tmp_path_factory, mesh):
+    path = tmp_path_factory.mktemp("obj") / "m.obj"
+    path.write_text("".join("v %.17g %.17g %.17g\n" % tuple(v) for v in mesh.vertices)
+                    + "".join("f %d %d %d\n" % tuple(f + 1) for f in mesh.faces))
+    verts, faces = read_obj(path)
+    assert verts.tobytes() == mesh.vertices.tobytes()
+    assert faces.tobytes() == mesh.faces.tobytes()
 
 
 def test_degenerate_face_rejected():

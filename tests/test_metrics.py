@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import hull_mesh, random_map
+from oracles import conformal_slow
 
 from smoothmatch.energies import dirichlet_energy
 from smoothmatch.mesh import TriMesh, geodesic_distances
@@ -15,6 +17,7 @@ from smoothmatch.metrics import (
     smoothness_metric,
 )
 from smoothmatch.spectral import PointwiseMap
+from smoothmatch.synth import icosphere
 
 
 def identity_map(mesh):
@@ -80,6 +83,17 @@ def test_accuracy_empty_gt(sphere2):
 # ----------------------------------------------------------------------
 # bijectivity
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("gt_src, gt_tgt", [
+    ([-1], [3]),                         # negative index would wrap around
+    ([1], [999]),                        # past the last target vertex
+    (np.arange(167), np.arange(167)),    # full map longer than the mesh
+    ([0, 1], [0]),                       # lengths differ
+], ids=["negative", "past_target", "full_map_too_long", "length_mismatch"])
+def test_accuracy_rejects_bad_ground_truth(sphere2, gt_src, gt_tgt):
+    with pytest.raises(ValueError, match="ground.truth"):
+        accuracy_metric(identity_map(sphere2), gt_src, gt_tgt, sphere2)
+
+
 def test_bijectivity_zero_for_inverse_permutations(rng):
     mesh = hull_mesh(rng, 40)
     perm = rng.permutation(mesh.n_vertices)
@@ -194,6 +208,31 @@ def test_conformal_collapsed_faces_counted(sphere2):
     assert collapsed == sphere2.n_faces
 
 
+@st.composite
+def _conformal_cases(draw):
+    # hull meshes with noisy, random and constant maps, so that faces
+    # collapse (repeated image vertices) as well as stretch
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = hull_mesh(rng, draw(st.integers(8, 200)))
+    tgt = TriMesh(src.vertices * rng.uniform(0.5, 2.0, 3), src.faces)
+    n = src.n_vertices
+    target_of = {
+        "noisy": np.where(rng.random(n) < 0.2, rng.integers(0, n, n), np.arange(n)),
+        "random": rng.integers(0, n, n),
+        "constant": np.full(n, rng.integers(n)),
+    }[draw(st.sampled_from(["noisy", "random", "constant"]))]
+    return PointwiseMap(target_of, n), src, tgt
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_conformal_cases())
+def test_conformal_equals_per_face_loop(case):
+    # bit for bit, collapsed count included: near-collapsed faces sit at
+    # the 1e-12 threshold, so a different rounding would move them
+    pi, src, tgt = case
+    assert conformal_distortion(pi, src, tgt, return_collapsed=True) == conformal_slow(pi, src, tgt)
+
+
 # ----------------------------------------------------------------------
 # invariances and the aggregated report
 # ----------------------------------------------------------------------
@@ -245,3 +284,27 @@ def test_report_single_direction(sphere2):
     assert report.bijectivity is None
     assert report.accuracy is None
     assert report.smoothness is not None
+
+
+def test_disconnected_meshes():
+    # two disjoint spheres: a geodesic between components is inf, so
+    # accuracy and bijectivity are inf exactly when a scored pair or a
+    # round trip crosses components; the other metrics stay finite
+    sphere = icosphere(1)
+    n = sphere.n_vertices
+    mesh = TriMesh(np.vstack([sphere.vertices, sphere.vertices + 3.0]),
+                   np.vstack([sphere.faces, sphere.faces + n]))
+    ident = identity_map(mesh)
+    swap = PointwiseMap((np.arange(2 * n) + n) % (2 * n), 2 * n)
+    gt = np.arange(2 * n)
+
+    report = compute_report(swap, ident, mesh, mesh, gt, gt, with_conformal=True)
+    assert report.accuracy == np.inf
+    assert report.bijectivity == np.inf
+    assert np.isfinite(report.smoothness)
+    assert report.coverage == 100.0
+    assert report.conformal == pytest.approx(1.0, abs=1e-12)
+    assert report.collapsed_faces == 0
+
+    assert accuracy_metric(ident, gt, gt, mesh) == 0.0
+    assert bijectivity_metric(swap, swap, mesh, mesh) == 0.0
