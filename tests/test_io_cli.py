@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,74 @@ def test_index_pairs_roundtrip(tmp_path_factory, pairs):
     sm_io.write_index_pairs(path, pairs)
     back = sm_io.read_index_pairs(path)
     assert back.shape == pairs.shape and back.tobytes() == pairs.tobytes()
+
+
+# golden bytes: the exact text every writer produces for fixed inputs
+def test_pointwise_map_golden_bytes(tmp_path):
+    path = tmp_path / "map.txt"
+    sm_io.write_pointwise_map(path, PointwiseMap([3, 0, 2**62, 1], 2**62 + 1))
+    assert path.read_bytes() == b"3\n0\n4611686018427387904\n1\n"
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([[0, 5], [12, 2**63 - 1], [7, 7]], b"0 5\n12 9223372036854775807\n7 7\n"),
+    (np.empty((0, 2), dtype=np.int64), b""),
+], ids=["pairs", "empty"])
+def test_index_pairs_golden_bytes(tmp_path, pairs, expected):
+    path = tmp_path / "pairs.txt"
+    sm_io.write_index_pairs(path, pairs)
+    assert path.read_bytes() == expected
+
+
+def test_fmap_golden_bytes(tmp_path):
+    path = tmp_path / "fmap.txt"
+    sm_io.write_fmap(path, [[1.0, -0.0, 5e-324], [1e300, -2.5, 0.1]])
+    assert path.read_bytes() == (
+        b"2 3\n"
+        b"1 -0 4.9406564584124654e-324\n"
+        b"1.0000000000000001e+300 -2.5 0.10000000000000001\n"
+    )
+
+
+def test_off_golden_bytes(tmp_path):
+    path = tmp_path / "mesh.off"
+    mesh = TriMesh([[0.0, -0.0, 0.1], [1.0, 0.0, 0.0], [0.0, 1e-300, 2.5], [1.0, 1.0, 1.0]],
+                   [[0, 1, 2], [1, 3, 2]])
+    write_off(mesh, path)
+    assert path.read_bytes() == (
+        b"OFF\n4 2 0\n"
+        b"0 -0 0.10000000000000001\n1 0 0\n0 1e-300 2.5\n1 1 1\n"
+        b"3 0 1 2\n3 1 3 2\n"
+    )
+
+
+_TRACE_HEADER = "iteration,k,gamma,e_bij,e_couple_spec,e_dirichlet,e_couple_spatial,e_total\n"
+
+
+@pytest.mark.parametrize("rows, body", [
+    ([(0, 20, 0.1, -0.0, 1e300, 1e-300, 1 / 3, 2.5),
+      (1, 30, 0.31622776601683794, 0.0, 5e-324, -1e-300, 2 / 3, -7.25)],
+     "0,20,0.1,-0,1e+300,1e-300,0.333333333333,2.5\n"
+     "1,30,0.316227766017,0,4.94065645841e-324,-1e-300,0.666666666667,-7.25\n"),
+    ([], ""),
+], ids=["rows", "empty"])
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "file"])
+def test_trace_csv_golden_bytes(tmp_path, rows, body, to_path):
+    from smoothmatch.solver import EnergyTrace
+
+    trace = EnergyTrace()
+    for r in rows:
+        trace.append(**dict(zip(EnergyTrace.COLUMNS, r)))
+    if to_path:
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        text = path.read_bytes().decode()
+    else:
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert not buf.closed
+        text = buf.getvalue()
+    assert text == _TRACE_HEADER + body
 
 
 @pytest.mark.parametrize("reader, text", [
@@ -101,6 +171,7 @@ def test_synth_writes_fixture(tmp_path):
     assert src.n_vertices == 162
     gt_src, gt_tgt = sm_io.read_ground_truth(out / "gt.txt")
     assert np.array_equal(gt_tgt, np.arange(162))
+    assert (out / "gt.txt").read_text() == "".join("%d\n" % i for i in range(162))
 
 
 def test_synth_zero_jitter_identical_files(tmp_path):
