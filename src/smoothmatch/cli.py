@@ -159,9 +159,6 @@ def _print_config(config, args):
 
 def _cmd_refine(args):
     config = _refine_config(args)
-    if args.print_config:
-        _print_config(config, args)
-
     mesh_1 = load_mesh(_require(args.src, "source mesh"), normalize=not args.no_normalize)
     mesh_2 = load_mesh(_require(args.tgt, "target mesh"), normalize=not args.no_normalize)
 
@@ -173,6 +170,8 @@ def _cmd_refine(args):
         config.k_init = min(config.k_init, k_max)
         print("note: spectral sizes reduced to %d for these mesh sizes" % k_max,
               file=sys.stderr)
+    if args.print_config:
+        _print_config(config, args)
     basis_1 = compute_basis(mesh_1, config.k_final)
     basis_2 = compute_basis(mesh_2, config.k_final)
 
@@ -287,9 +286,7 @@ def _cmd_synth(args):
     write_off(tgt, os.path.join(args.out, "tgt.off"))
     # dense identity ground truth: vertex i of the source corresponds
     # to vertex i of the jittered copy
-    with open(os.path.join(args.out, "gt.txt"), "w") as fh:
-        for i in range(src.n_vertices):
-            fh.write("%d\n" % i)
+    np.savetxt(os.path.join(args.out, "gt.txt"), np.arange(src.n_vertices), fmt="%d")
     lm = farthest_point_indices(src, args.landmarks)
     sm_io.write_index_pairs(os.path.join(args.out, "lm%d.txt" % args.landmarks),
                             np.column_stack([lm, lm]))

@@ -6,49 +6,90 @@
 * Index pairs (landmarks, sparse ground truth): ``src_idx tgt_idx`` per
   line; a ground-truth file may alternatively be a full pointwise map.
 * Metrics: one-line CSV with a fixed header.
+
+Every reader parses its rows with one ``np.loadtxt`` call (``_table``)
+and names a row that does not parse as ``path:line``; every writer is
+one ``np.savetxt`` call.
 """
+
+import statistics
+from functools import partial
 
 import numpy as np
 
 from .spectral import PointwiseMap
 
 
-def write_pointwise_map(path, pi):
-    with open(path, "w") as fh:
-        for t in pi.target_of:
-            fh.write("%d\n" % t)
+def _content_lines(path):
+    """``(line numbers, texts)`` of the non-blank lines, ``#`` comments removed."""
+    with open(path, "r") as fh:
+        texts = [raw.split("#", 1)[0].strip() for raw in fh]
+    lines = np.flatnonzero(np.fromiter(map(bool, texts), dtype=bool, count=len(texts))) + 1
+    return lines, list(filter(None, texts))
 
 
-def _read_ints(path, ndmin):
-    # numpy's parse error names the row and column but not the file
+def _table(path, rows, dtype, width, what):
+    """Parse ``rows = (line numbers, texts)`` into a 2-D array in one ``np.loadtxt`` call.
+
+    ``width=N`` reads the first N columns and ignores further tokens;
+    ``width=None`` reads every column, and their count must not change.
+    A row that does not parse raises ``path:line: malformed <what> line``.
+    """
+    lines, texts = rows
+    if not texts:
+        return np.empty((0, width or 1), dtype=dtype)
+    parse = partial(np.loadtxt, dtype=dtype, ndmin=2, comments=None,
+                    usecols=None if width is None else range(width))
     try:
-        return np.loadtxt(path, dtype=np.int64, ndmin=ndmin)
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from None
+        return parse(texts)
+    except ValueError:
+        # only a failed parse pays for the row-by-row pass that names the line;
+        # with width=None the column count most rows share is the expected one
+        width = width or statistics.mode(len(t.split()) for t in texts)
+        for lineno, text in zip(lines, texts):
+            try:
+                ok = parse([text]).shape[1] == width
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError("%s:%d: malformed %s line" % (path, lineno, what)) from None
+        raise
+
+
+def _reject(path, bad, lines, message):
+    """Raise ``path:line: message`` for the first row flagged in ``bad``."""
+    first = np.flatnonzero(bad)
+    if first.size:
+        raise ValueError("%s:%d: %s" % (path, lines[first[0]], message))
+
+
+def write_pointwise_map(path, pi):
+    np.savetxt(path, pi.target_of, fmt="%d")
 
 
 def read_pointwise_map(path, n_tgt):
-    idx = _read_ints(path, 1)
-    if idx.ndim != 1:
+    lines, texts = _content_lines(path)
+    idx = _table(path, (lines, texts), np.int64, None, "pointwise map")
+    if idx.shape[1] != 1:
         raise ValueError("%s: expected one index per line" % path)
+    idx = idx.ravel()
+    _reject(path, (idx < 0) | (idx >= n_tgt), lines, "map entry out of range [0, %d)" % n_tgt)
     return PointwiseMap(idx, n_tgt)
 
 
 def write_fmap(path, c):
     c = np.asarray(c, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write("%d %d\n" % c.shape)
-        for row in c:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, c, fmt="%.17g", header="%d %d" % c.shape, comments="")
 
 
 def read_fmap(path):
-    with open(path, "r") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("%s: malformed functional map header" % path)
-        k_src, k_tgt = int(header[0]), int(header[1])
-        c = np.loadtxt(fh, ndmin=2)
+    lines, texts = _content_lines(path)
+    header = _table(path, (lines[:1], texts[:1]), np.int64, None, "functional map header")
+    if header.shape != (1, 2):
+        raise ValueError("%s:%d: malformed functional map header"
+                         % (path, lines[0] if texts else 1))
+    k_src, k_tgt = header[0]
+    c = _table(path, (lines[1:], texts[1:]), np.float64, None, "functional map")
     if c.shape != (k_src, k_tgt):
         raise ValueError(
             "%s: header promises %dx%d, found %s" % (path, k_src, k_tgt, c.shape)
@@ -57,14 +98,11 @@ def read_fmap(path):
 
 
 def write_index_pairs(path, pairs):
-    pairs = np.asarray(pairs, dtype=np.int64)
-    with open(path, "w") as fh:
-        for s, t in pairs:
-            fh.write("%d %d\n" % (s, t))
+    np.savetxt(path, np.asarray(pairs, dtype=np.int64), fmt="%d")
 
 
 def read_index_pairs(path):
-    pairs = _read_ints(path, 2)
+    pairs = _table(path, _content_lines(path), np.int64, None, "index pair")
     if pairs.shape[1] != 2:
         raise ValueError("%s: expected two indices per line" % path)
     return pairs
@@ -76,7 +114,7 @@ def read_ground_truth(path):
     Accepts either the sparse two-column pair format or a full
     pointwise-map file (one target index per line).
     """
-    data = _read_ints(path, 2)
+    data = _table(path, _content_lines(path), np.int64, None, "ground-truth")
     if data.shape[1] == 2:
         return data[:, 0], data[:, 1]
     if data.shape[1] == 1:

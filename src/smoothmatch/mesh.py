@@ -20,6 +20,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from .io import _content_lines, _reject, _table
+
 # cotangents beyond this threshold come from numerically degenerate
 # triangles; clamping keeps W assembly finite and effectively PSD
 _COT_CLAMP = 1e5
@@ -259,125 +261,76 @@ def load_mesh(path, normalize=True):
     return mesh.normalized() if normalize else mesh
 
 
-def _content_lines(path):
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
-
-
 def _checked(path, verts, vertex_lines, faces, face_lines):
-    # one vectorized pass after parsing; the per-line loops stay lean
-    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
-    if bad.size:
-        raise ValueError("%s:%d: non-finite vertex coordinate" % (path, vertex_lines[bad[0]]))
-    out = (faces < 0) | (faces >= len(verts))
-    if out.any():
-        bad = np.flatnonzero(out.any(axis=-1))
-        raise ValueError("%s:%d: face index out of range" % (path, face_lines[bad[0]]))
+    # one vectorized pass after parsing
+    _reject(path, ~np.isfinite(verts).all(axis=1), vertex_lines, "non-finite vertex coordinate")
+    _reject(path, ((faces < 0) | (faces >= len(verts))).any(axis=1), face_lines,
+            "face index out of range")
+    _reject(path, (faces == np.roll(faces, 1, axis=1)).any(axis=1), face_lines,
+            "degenerate face (repeated vertex index)")
     return verts, faces
 
 
 def read_off(path):
     """Parse an ASCII OFF file, returning ``(vertices, faces)``."""
-    lines = _content_lines(path)
+    lines, texts = _content_lines(path)
 
-    def take(what):
-        try:
-            return next(lines)
-        except StopIteration:
+    def rows(start, count, what):
+        if len(texts) < start + count:
             raise ValueError("%s: unexpected end of file while reading %s" % (path, what))
+        return lines[start:start + count], texts[start:start + count]
 
-    lineno, header = take("header")
-    counts = None
+    header = rows(0, 1, "header")[1][0]
     if header == "OFF":
-        lineno, counts_line = take("counts")
-        counts = counts_line.split()
+        start, counts = 2, rows(1, 1, "counts")
     elif header.startswith("OFF"):
-        counts = header[3:].split()
+        start, counts = 1, (lines[:1], [header[3:]])
     else:
-        raise ValueError("%s:%d: not an OFF file" % (path, lineno))
-    if len(counts) < 2:
-        raise ValueError("%s:%d: malformed counts line" % (path, lineno))
-    try:
-        n_verts, n_faces = int(counts[0]), int(counts[1])
-        if n_verts < 0 or n_faces < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError("%s:%d: malformed counts line" % (path, lineno))
-
-    verts = np.empty((n_verts, 3))
-    vertex_lines = []
-    for k in range(n_verts):
-        lineno, line = take("vertices")
-        vertex_lines.append(lineno)
-        parts = line.split()
-        if len(parts) < 3:
-            raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
-        try:
-            verts[k] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        except ValueError:
-            raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
-
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    face_lines = []
-    for k in range(n_faces):
-        lineno, line = take("faces")
-        face_lines.append(lineno)
-        parts = line.split()
-        try:
-            arity = int(parts[0])
-        except (ValueError, IndexError):
-            raise ValueError("%s:%d: malformed face line" % (path, lineno))
-        if arity != 3:
-            raise ValueError("%s:%d: non-triangular face (%d vertices)" % (path, lineno, arity))
-        if len(parts) < 4:
-            raise ValueError("%s:%d: malformed face line" % (path, lineno))
-        faces[k] = [int(parts[1]), int(parts[2]), int(parts[3])]
-    return _checked(path, verts, vertex_lines, faces, face_lines)
+        raise ValueError("%s:%d: not an OFF file" % (path, lines[0]))
+    (n_verts, n_faces), = _table(path, counts, np.int64, 2, "counts")
+    if n_verts < 0 or n_faces < 0:
+        raise ValueError("%s:%d: malformed counts line" % (path, counts[0][0]))
+    vertex_rows = rows(start, n_verts, "vertices")
+    face_rows = rows(start + n_verts, n_faces, "faces")
+    verts = _table(path, vertex_rows, np.float64, 3, "vertex")
+    faces = _table(path, face_rows, np.int64, 4, "face")
+    bad = np.flatnonzero(faces[:, 0] != 3)
+    if bad.size:
+        raise ValueError("%s:%d: non-triangular face (%d vertices)"
+                         % (path, face_rows[0][bad[0]], faces[bad[0], 0]))
+    return _checked(path, verts, vertex_rows[0], faces[:, 1:], face_rows[0])
 
 
 def read_obj(path):
     """Parse an ASCII OBJ file (``v`` and ``f`` records only)."""
-    verts, faces, vertex_lines, face_lines = [], [], [], []
-    for lineno, line in _content_lines(path):
-        parts = line.split()
-        if parts[0] == "v":
-            vertex_lines.append(lineno)
-            if len(parts) < 4:
+    vertex_rows, face_rows = ([], []), ([], [])
+    for lineno, text in zip(*_content_lines(path)):
+        head, *rest = text.split(None, 1)
+        if head == "v":
+            if not rest:
                 raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
-            try:
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            except ValueError:
-                raise ValueError("%s:%d: malformed vertex line" % (path, lineno))
-        elif parts[0] == "f":
-            face_lines.append(lineno)
-            idx = parts[1:]
+            vertex_rows[0].append(lineno)
+            vertex_rows[1].append(rest[0])
+        elif head == "f":
+            # tokens may carry /texture/normal references
+            idx = [tok.split("/")[0] for tok in rest[0].split()] if rest else []
             if len(idx) != 3:
                 raise ValueError(
                     "%s:%d: non-triangular face (%d vertices)" % (path, lineno, len(idx))
                 )
-            try:
-                # tokens may carry /texture/normal references
-                face = [int(tok.split("/")[0]) for tok in idx]
-            except ValueError:
-                raise ValueError("%s:%d: malformed face line" % (path, lineno))
-            if any(i < 1 for i in face):
-                raise ValueError("%s:%d: OBJ indices must be positive" % (path, lineno))
-            faces.append([i - 1 for i in face])
-    if not verts:
+            face_rows[0].append(lineno)
+            face_rows[1].append(" ".join(idx))
+    if not vertex_rows[0]:
         raise ValueError("%s: no vertices found" % path)
-    return _checked(path, np.asarray(verts, dtype=np.float64), vertex_lines,
-                    np.asarray(faces, dtype=np.int64), face_lines)
+    verts = _table(path, vertex_rows, np.float64, 3, "vertex")
+    faces = _table(path, face_rows, np.int64, 3, "face")
+    _reject(path, (faces < 1).any(axis=1), face_rows[0], "OBJ indices must be positive")
+    return _checked(path, verts, vertex_rows[0], faces - 1, face_rows[0])
 
 
 def write_off(mesh, path):
     """Write a mesh to an ASCII OFF file (deterministic formatting)."""
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write("%d %d 0\n" % (mesh.n_vertices, mesh.n_faces))
-        for v in mesh.vertices:
-            fh.write("%.17g %.17g %.17g\n" % (v[0], v[1], v[2]))
-        for f in mesh.faces:
-            fh.write("3 %d %d %d\n" % (f[0], f[1], f[2]))
+        np.savetxt(fh, mesh.vertices, fmt="%.17g", comments="",
+                   header="OFF\n%d %d 0" % (mesh.n_vertices, mesh.n_faces))
+        np.savetxt(fh, mesh.faces, fmt="3 %d %d %d")

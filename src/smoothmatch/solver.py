@@ -107,20 +107,10 @@ class EnergyTrace:
         return len(self.rows)
 
     def to_csv(self, path_or_file):
-        close = False
-        fh = path_or_file
-        if not hasattr(fh, "write"):
-            fh = open(fh, "w")
-            close = True
-        try:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for r in self.rows:
-                fh.write("%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" % tuple(
-                    r[c] for c in self.COLUMNS
-                ))
-        finally:
-            if close:
-                fh.close()
+        rows = np.array([[r[c] for c in self.COLUMNS] for r in self.rows], dtype=np.float64)
+        np.savetxt(path_or_file, rows.reshape(-1, len(self.COLUMNS)), comments="",
+                   fmt="%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g",
+                   header=",".join(self.COLUMNS))
 
 
 def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights, k):

@@ -45,6 +45,8 @@ class Variant:
             raise ValueError("unknown variant %r (expected one of %s)" % (self.kind, ", ".join(VARIANT_KINDS)))
         if self.lam <= 0 or self.mu < 0:
             raise ValueError("variant weights must be positive")
+        if self.k_def is not None and self.k_def < 1:
+            raise ValueError("k_def must be at least 1 (got %s)" % self.k_def)
 
     @property
     def default_beta(self):

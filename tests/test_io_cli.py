@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from conftest import random_map
 
 from smoothmatch import io as sm_io
 from smoothmatch.cli import _exit_code, main
-from smoothmatch.mesh import TriMesh, geodesic_distances, load_mesh, write_off
+from smoothmatch.mesh import (
+    TriMesh, geodesic_distances, load_mesh, read_obj, read_off, write_off,
+)
 from smoothmatch.metrics import compute_report
 from smoothmatch.spectral import PointwiseMap
 from smoothmatch.synth import farthest_point_indices, icosphere
@@ -120,17 +123,101 @@ def test_trace_csv_golden_bytes(tmp_path, rows, body, to_path):
     assert text == _TRACE_HEADER + body
 
 
-@pytest.mark.parametrize("reader, text", [
-    (lambda p: sm_io.read_pointwise_map(p, 10), "1\n1.5\n"),
-    (sm_io.read_index_pairs, "0 1\n2 1.5\n"),
-    (sm_io.read_ground_truth, "0 1\n2 1.5\n"),
+@pytest.mark.parametrize("reader, text, what", [
+    (lambda p: sm_io.read_pointwise_map(p, 10), "1\n1.5\n", "pointwise map"),
+    (sm_io.read_index_pairs, "0 1\n2 1.5\n", "index pair"),
+    (sm_io.read_ground_truth, "0 1\n2 1.5\n", "ground-truth"),
 ], ids=["pointwise_map", "index_pairs", "ground_truth"])
-def test_integer_file_parse_error_names_file(tmp_path, reader, text):
+def test_integer_file_parse_error_names_file(tmp_path, reader, text, what):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=r"bad\.txt: could not convert string '1\.5'"):
+    with pytest.raises(ValueError, match=r"bad\.txt:2: malformed %s line" % what):
         reader(path)
 
+
+def test_fmap_parse_error_names_line(tmp_path):
+    path = tmp_path / "fmap.txt"
+    path.write_text("2 2\n1 x\n0 1\n")
+    with pytest.raises(ValueError, match=r"fmap\.txt:2: malformed functional map line"):
+        sm_io.read_fmap(path)
+
+
+# tokens that neither the float nor the integer parser accepts
+_NOT_NUMBERS = ["x", "1_000", "1,5", "--1", "0x1f"]
+_FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
+
+
+@st.composite
+def _valid_file(draw):
+    """A valid file in one text format: (name, content lines, index of the
+    first data line, leading keyword tokens per data line, reader)."""
+    kind = draw(st.sampled_from(["off", "obj", "map", "pairs", "ground_truth", "fmap"]))
+    # at least three data rows, so a row with a dropped token is the odd one out
+    n = draw(st.integers(3, 8))
+    index = st.integers(0, n - 1)
+
+    def row(elements, size):
+        return " ".join(map(str, draw(st.lists(elements, min_size=size, max_size=size))))
+
+    if kind in ("off", "obj"):
+        verts = [row(_FLOAT_TEXT, 3) for _ in range(n)]
+        faces = draw(st.lists(st.lists(index, min_size=3, max_size=3, unique=True),
+                              min_size=1, max_size=4))
+        if kind == "off":
+            lines = ["OFF", "%d %d 0" % (n, len(faces))] + verts
+            return "mesh.off", lines + ["3 %d %d %d" % tuple(f) for f in faces], 2, 0, read_off
+        lines = ["v " + v for v in verts]
+        return "mesh.obj", lines + ["f %d/1 %d %d//2" % tuple(i + 1 for i in f)
+                                    for f in faces], 0, 1, read_obj
+    if kind == "map":
+        return "map.txt", [row(index, 1) for _ in range(n)], 0, 0, (
+            lambda p: sm_io.read_pointwise_map(p, n))
+    if kind in ("pairs", "ground_truth"):
+        reader = sm_io.read_index_pairs if kind == "pairs" else sm_io.read_ground_truth
+        return kind + ".txt", [row(index, 2) for _ in range(n)], 0, 0, reader
+    cols = draw(st.integers(2, 4))
+    lines = ["%d %d" % (n, cols)] + [row(_FLOAT_TEXT, cols) for _ in range(n)]
+    return "fmap.txt", lines, 0, 0, sm_io.read_fmap
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_valid_file(), data=st.data())
+def test_malformed_line_is_named(tmp_path_factory, spec, data):
+    # corrupt one data line of a valid file: the reader must name that line
+    name, lines, first, skip, reader = spec
+    text, lineno = [], {}
+    for i, line in enumerate(lines):
+        # blank and comment lines shift line numbers away from row numbers
+        text += data.draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=2))
+        text.append(line)
+        lineno[i] = len(text)
+    path = tmp_path_factory.mktemp("bad") / name
+    path.write_text("\n".join(text) + "\n")
+    reader(path)
+
+    at = data.draw(st.integers(first, len(lines) - 1), label="corrupted line")
+    tokens = lines[at].split()
+    pos = data.draw(st.integers(skip, len(tokens) - 1), label="token")
+    if len(tokens) - skip > 1 and data.draw(st.booleans(), label="drop"):
+        del tokens[pos]
+    else:
+        tokens[pos] = data.draw(st.sampled_from(_NOT_NUMBERS))
+    text[lineno[at] - 1] = " ".join(tokens)
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ValueError, match=re.escape("%s:%d:" % (name, lineno[at]))):
+        reader(path)
+
+
+def test_eval_malformed_map_exits_2(fixture_dir, tmp_path, capsys):
+    n = load_mesh(fixture_dir / "tgt.off").n_vertices
+    lines = ["%d" % i for i in range(n)]
+    lines[7] = "7.5"
+    bad = tmp_path / "map.txt"
+    bad.write_text("# identity map\n" + "\n".join(lines) + "\n")
+    code = main(["eval", "--src", str(fixture_dir / "src.off"),
+                 "--tgt", str(fixture_dir / "tgt.off"), "--map12", str(bad)])
+    assert code == 2
+    assert "map.txt:9: malformed pointwise map line" in capsys.readouterr().err
 
 def test_ground_truth_two_formats(tmp_path):
     pairs = tmp_path / "pairs.txt"
@@ -272,6 +359,31 @@ def test_refine_print_config(fixture_dir, tmp_path, capsys):
     assert "gamma_init 0.1" in out
     # weights.gamma is schedule-owned and not printed
     assert "gamma" not in [line.split()[0] for line in out.splitlines()]
+
+    # on a 42-vertex mesh the spectral sizes shrink, and the effective ones print
+    small = tmp_path / "small"
+    assert main(["synth", "icosphere", "--subdiv", "1", "--out", str(small)]) == 0
+    capsys.readouterr()
+    code = main([
+        "refine", "--src", str(small / "src.off"), "--tgt", str(small / "tgt.off"),
+        "--landmarks", str(small / "lm5.txt"), "--iters", "1",
+        "--out", str(tmp_path / "o_small"), "--print-config",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "k_final 40" in lines and "k_init 20" in lines
+    assert "k_final 100" not in lines
+
+
+def test_refine_rejects_k_def_below_one(fixture_dir, tmp_path, capsys):
+    code = main([
+        "refine", "--src", str(fixture_dir / "src.off"),
+        "--tgt", str(fixture_dir / "tgt.off"),
+        "--landmarks", str(fixture_dir / "lm5.txt"),
+        "--energy", "shells", "--k-def", "-3", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "k_def must be at least 1" in capsys.readouterr().err
 
 
 def test_singular_solve_is_solver_failure(capsys):

@@ -89,7 +89,14 @@ def test_non_finite_vertex_rejected_with_line(tmp_path, name, text, line):
     ("far.obj", "v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nf 1 2 5\n", 5, "face index out of range"),
     ("counts.off", "OFF\n-3 1 0\n", 2, "malformed counts line"),
     ("inline.off", "OFF 3 -1 0\n0 0 0\n1 0 0\n0 1 0\n", 1, "malformed counts line"),
-], ids=["off_face", "off_negative_face", "obj_face", "off_counts", "off_inline_counts"])
+    ("repeat.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", 6,
+     r"degenerate face \(repeated vertex index\)"),
+    ("repeat.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n# c\nf 3 2 3\n", 6,
+     r"degenerate face \(repeated vertex index\)"),
+    # Python's float() takes digit separators; the table parser does not
+    ("sep.off", "OFF\n3 1 0\n0 0 0\n1_000 0 0\n0 1 0\n3 0 1 2\n", 4, "malformed vertex line"),
+], ids=["off_face", "off_negative_face", "obj_face", "off_counts", "off_inline_counts",
+        "off_repeated_index", "obj_repeated_index", "off_digit_separator"])
 def test_bad_mesh_rejected_with_line(tmp_path, name, text, line, message):
     path = tmp_path / name
     path.write_text(text)
