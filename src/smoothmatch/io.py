@@ -37,6 +37,7 @@ def _table(path, rows, dtype, width, what):
     """
     lines, texts = rows
     if not texts:
+        # the shape np.loadtxt gives an empty file, without its warning
         return np.empty((0, width or 1), dtype=dtype)
     parse = partial(np.loadtxt, dtype=dtype, ndmin=2, comments=None,
                     usecols=None if width is None else range(width))
@@ -68,12 +69,12 @@ def write_pointwise_map(path, pi):
 
 
 def read_pointwise_map(path, n_tgt):
-    lines, texts = _content_lines(path)
-    idx = _table(path, (lines, texts), np.int64, None, "pointwise map")
+    rows = _content_lines(path)
+    idx = _table(path, rows, np.int64, None, "pointwise map")
     if idx.shape[1] != 1:
         raise ValueError("%s: expected one index per line" % path)
     idx = idx.ravel()
-    _reject(path, (idx < 0) | (idx >= n_tgt), lines, "map entry out of range [0, %d)" % n_tgt)
+    _reject(path, (idx < 0) | (idx >= n_tgt), rows[0], "map entry out of range [0, %d)" % n_tgt)
     return PointwiseMap(idx, n_tgt)
 
 
