@@ -8,18 +8,15 @@ energy (Dirichlet by default) with a three-block coordinate solver.
 from .energies import (
     EnergyWeights,
     bijectivity_energy,
-    coupled_smoothness_dirichlet,
     coupling_energy,
     dirichlet_energy,
     energy_breakdown,
-    total_energy,
 )
 from .mesh import (
     TriMesh,
     cotangent_matrix,
     geodesic_distances,
     load_mesh,
-    mass_matrix,
     vertex_areas,
     write_off,
 )
@@ -82,7 +79,6 @@ __all__ = [
     "compute_report",
     "conformal_distortion",
     "cotangent_matrix",
-    "coupled_smoothness_dirichlet",
     "coupling_energy",
     "coverage_metric",
     "dirichlet_energy",
@@ -95,13 +91,11 @@ __all__ = [
     "jittered_copy",
     "landmark_init",
     "load_mesh",
-    "mass_matrix",
     "nearest_rows",
     "p2p_to_fmap",
     "pi_step",
     "refine",
     "smoothness_metric",
-    "total_energy",
     "vertex_areas",
     "write_off",
 ]

@@ -117,13 +117,8 @@ def smoothness_terms(state, mesh_1, mesh_2):
     return e_d, e_c
 
 
-def coupled_smoothness_dirichlet(state, mesh_1, mesh_2, weights):
-    """Coupled smoothness energy for the Dirichlet variant."""
-    return variant_smoothness(state, mesh_1, mesh_2, weights, "dirichlet")
-
-
 def variant_smoothness(state, mesh_1, mesh_2, weights, variant, terms=None):
-    """Coupled smoothness block for the active variant.
+    """Coupled smoothness block for the active ``Variant`` (``None``: Dirichlet).
 
     ``terms`` may pass in the ``smoothness_terms`` of ``state`` when the
     caller has them.  Energies with auxiliary unknowns (nicp, arap,
@@ -131,23 +126,18 @@ def variant_smoothness(state, mesh_1, mesh_2, weights, variant, terms=None):
     """
     from .variants import ENERGIES, Variant
 
-    if variant is None or isinstance(variant, str):
-        variant = Variant(variant or "dirichlet")
+    variant = Variant() if variant is None else variant
     e_d, e_couple = smoothness_terms(state, mesh_1, mesh_2) if terms is None else terms
     regularizer = ENERGIES[variant.kind].regularizer
     return regularizer(state, mesh_1, mesh_2, variant, e_d) + weights.beta * e_couple
 
 
-def total_energy(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant=None):
-    """Combined objective: bijectivity plus gamma times coupled smoothness."""
-    return energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant)["e_total"]
-
-
 def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant=None):
     """All energy terms as a flat dict (solver trace rows, CLI report).
 
-    Raw columns are unweighted; ``e_total`` applies the weights, so for
-    the Dirichlet variant
+    ``variant`` is the active ``Variant`` (``None``: Dirichlet).  Raw
+    columns are unweighted; ``e_total`` applies the weights, so for the
+    Dirichlet variant
 
         e_total = spectral_bij * e_bij + alpha * e_couple_spec
                   + gamma * (e_dirichlet + beta * e_couple_spatial).

@@ -9,7 +9,8 @@
 
 Every reader parses its rows with one ``np.loadtxt`` call (``_table``)
 and names a row that does not parse as ``path:line``; every writer is
-one ``np.savetxt`` call.
+one ``np.savetxt`` call into a file it opens itself, so every file is
+plain text whatever its name.
 """
 
 import statistics
@@ -23,7 +24,10 @@ from .spectral import PointwiseMap
 def _content_lines(path):
     """``(line numbers, texts)`` of the non-blank lines, ``#`` comments removed."""
     with open(path, "r") as fh:
-        texts = [raw.split("#", 1)[0].strip() for raw in fh]
+        try:
+            texts = [raw.split("#", 1)[0].strip() for raw in fh]
+        except UnicodeDecodeError:
+            raise ValueError("%s: not a text file" % path) from None
     lines = np.flatnonzero(np.fromiter(map(bool, texts), dtype=bool, count=len(texts))) + 1
     return lines, list(filter(None, texts))
 
@@ -64,8 +68,14 @@ def _reject(path, bad, lines, message):
         raise ValueError("%s:%d: %s" % (path, lines[first[0]], message))
 
 
+def _savetxt(path, values, **kwargs):
+    # np.savetxt gzips a path ending in .gz, which no reader here reads back
+    with open(path, "w") as fh:
+        np.savetxt(fh, values, **kwargs)
+
+
 def write_pointwise_map(path, pi):
-    np.savetxt(path, pi.target_of, fmt="%d")
+    _savetxt(path, pi.target_of, fmt="%d")
 
 
 def read_pointwise_map(path, n_tgt):
@@ -80,7 +90,7 @@ def read_pointwise_map(path, n_tgt):
 
 def write_fmap(path, c):
     c = np.asarray(c, dtype=np.float64)
-    np.savetxt(path, c, fmt="%.17g", header="%d %d" % c.shape, comments="")
+    _savetxt(path, c, fmt="%.17g", header="%d %d" % c.shape, comments="")
 
 
 def read_fmap(path):
@@ -99,7 +109,7 @@ def read_fmap(path):
 
 
 def write_index_pairs(path, pairs):
-    np.savetxt(path, np.asarray(pairs, dtype=np.int64), fmt="%d")
+    _savetxt(path, np.asarray(pairs, dtype=np.int64), fmt="%d")
 
 
 def read_index_pairs(path):

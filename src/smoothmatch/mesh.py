@@ -15,6 +15,7 @@ Conventions used throughout the package:
 """
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -70,7 +71,6 @@ class TriMesh:
                 "%d isolated vertices (zero lumped mass)" % int((~used).sum()),
                 stacklevel=2,
             )
-        self._cache = {}
 
     @property
     def n_vertices(self):
@@ -83,15 +83,13 @@ class TriMesh:
     # ------------------------------------------------------------------
     # geometry
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def face_areas(self):
         """Per-face areas, shape (m,)."""
-        if "face_areas" not in self._cache:
-            v = self.vertices
-            f = self.faces
-            cr = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-            self._cache["face_areas"] = 0.5 * np.linalg.norm(cr, axis=1)
-        return self._cache["face_areas"]
+        v = self.vertices
+        f = self.faces
+        cr = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        return 0.5 * np.linalg.norm(cr, axis=1)
 
     @property
     def area(self):
@@ -111,15 +109,13 @@ class TriMesh:
         a = self.face_areas
         return (centers * a[:, None]).sum(axis=0) / a.sum()
 
-    @property
+    @cached_property
     def edges(self):
         """Unique undirected edges as an (e, 2) array with i < j."""
-        if "edges" not in self._cache:
-            f = self.faces
-            pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-            pairs.sort(axis=1)
-            self._cache["edges"] = np.unique(pairs, axis=0)
-        return self._cache["edges"]
+        f = self.faces
+        pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+        pairs.sort(axis=1)
+        return np.unique(pairs, axis=0)
 
     def normalized(self):
         """Copy translated to centroid origin and scaled to unit area."""
@@ -130,23 +126,15 @@ class TriMesh:
     # ------------------------------------------------------------------
     # operators (cached)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def cot_matrix(self):
-        if "cot" not in self._cache:
-            self._cache["cot"] = cotangent_matrix(self)
-        return self._cache["cot"]
+        return cotangent_matrix(self)
 
-    @property
+    @cached_property
     def vertex_areas(self):
-        if "va" not in self._cache:
-            self._cache["va"] = vertex_areas(self)
-        return self._cache["va"]
+        return vertex_areas(self)
 
-    @property
-    def mass_matrix(self):
-        return sparse.diags(self.vertex_areas)
-
-    @property
+    @cached_property
     def edge_weights(self):
         """Edge list of the cotangent graph: ``(edges, weights)``.
 
@@ -154,11 +142,8 @@ class TriMesh:
         ``w_ij`` of ``edges[e]``, read off the assembled matrix so that
         clamping is consistent with :func:`cotangent_matrix`.
         """
-        if "edge_w" not in self._cache:
-            coo = sparse.triu(self.cot_matrix, k=1).tocoo()
-            edges = np.column_stack([coo.row, coo.col])
-            self._cache["edge_w"] = (edges, -coo.data)
-        return self._cache["edge_w"]
+        coo = sparse.triu(self.cot_matrix, k=1).tocoo()
+        return np.column_stack([coo.row, coo.col]), -coo.data
 
 
 def cotangent_matrix(mesh):
@@ -203,11 +188,6 @@ def vertex_areas(mesh):
     """Barycentric lumped vertex areas, shape (n,)."""
     thirds = np.repeat(mesh.face_areas / 3.0, 3)
     return np.bincount(mesh.faces.ravel(), weights=thirds, minlength=mesh.n_vertices)
-
-
-def mass_matrix(mesh):
-    """Diagonal lumped mass matrix as a sparse matrix."""
-    return sparse.diags(vertex_areas(mesh))
 
 
 def geodesic_distances(mesh, sources):

@@ -22,6 +22,7 @@ map it represents.
 """
 
 import logging
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,7 +47,6 @@ class SolverConfig:
     variant: Variant = field(default_factory=Variant)
     weights: EnergyWeights | None = None
     exact_pi_step: bool = False
-    early_exit: bool = True
 
     def __post_init__(self):
         if self.k_init < 1 or self.k_final < self.k_init:
@@ -107,6 +107,11 @@ class EnergyTrace:
         return len(self.rows)
 
     def to_csv(self, path_or_file):
+        """Write the trace as CSV to an open text file, or to a path as plain text."""
+        if isinstance(path_or_file, (str, os.PathLike)):
+            # np.savetxt would gzip a path ending in .gz
+            with open(path_or_file, "w") as fh:
+                return self.to_csv(fh)
         rows = np.array([[r[c] for c in self.COLUMNS] for r in self.rows], dtype=np.float64)
         np.savetxt(path_or_file, rows.reshape(-1, len(self.COLUMNS)), comments="",
                    fmt="%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g",
@@ -193,6 +198,10 @@ def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, weights, exact=False):
 def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
     """Run the full refinement loop on an initial map pair.
 
+    The loop stops before the end of the schedule only when an iteration
+    leaves both maps unchanged and every remaining ``(k, gamma)`` equals
+    the current pair, since running on could only append identical rows.
+
     Parameters
     ----------
     pi_12, pi_21 : PointwiseMap
@@ -213,6 +222,8 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
             "bases hold %d/%d eigenpairs, need k_final=%d"
             % (basis_1.k, basis_2.k, config.k_final)
         )
+    if config.variant.k_def is not None and config.variant.k_def > config.k_final:
+        raise ValueError("k_def=%d exceeds k_final=%d" % (config.variant.k_def, config.k_final))
     if pi_12.n_src != mesh_1.n_vertices or pi_12.n_tgt != mesh_2.n_vertices:
         raise ValueError("pi_12 does not match the meshes")
     if pi_21.n_src != mesh_2.n_vertices or pi_21.n_tgt != mesh_1.n_vertices:
@@ -259,34 +270,25 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
         parts = energy_breakdown(state, mesh_1, mesh_2, b1, b2, w_it, variant)
         trace.append(iteration=it, k=k, gamma=float(gammas[it]), **parts)
 
-        schedule_stable = (
-            it + 1 >= config.n_outer
-            or (ks[it + 1] == k and gammas[it + 1] == gammas[it])
-        )
-        if config.early_exit and unchanged and schedule_stable:
+        if unchanged and np.all(ks[it:] == k) and np.all(gammas[it:] == gammas[it]):
             break
 
     return state.pi_12, state.pi_21, trace
 
 
-def landmark_init(landmarks, basis_1, basis_2, k0=None, diffusion_time=None):
+def landmark_init(landmarks, basis_1, basis_2):
     """Initial map pair from a few landmark correspondences.
 
     Landmark indicators (area-normalized vertex spikes, whose spectral
     coefficients are exactly the basis rows) are projected into the
-    first ``k0`` eigenfunctions of each shape; the functional map
-    aligning the two coefficient matrices in least squares is converted
-    to pointwise maps.
+    first L eigenfunctions of each shape, L being the landmark count;
+    the functional map aligning the two coefficient matrices in least
+    squares is converted to pointwise maps.
 
     Parameters
     ----------
     landmarks : (L, 2) array_like
         Rows ``(index on mesh 1, index on mesh 2)``, L >= 2.
-    k0 : int, optional
-        Spectral size of the alignment (default: L).
-    diffusion_time : float, optional
-        If given, indicators are smoothed by the spectral heat kernel
-        ``exp(-t * lambda)`` before alignment.
     """
     from .spectral import fmap_to_p2p
 
@@ -301,15 +303,13 @@ def landmark_init(landmarks, basis_1, basis_2, k0=None, diffusion_time=None):
         if lm[:, col].min() < 0 or lm[:, col].max() >= basis.n:
             raise ValueError("landmark index out of range on mesh %d" % (col + 1))
 
-    k0 = lm.shape[0] if k0 is None else k0
+    k0 = lm.shape[0]
     if k0 > min(basis_1.k, basis_2.k):
-        raise ValueError("k0=%d exceeds the stored bases" % k0)
+        raise ValueError("%d landmarks need as many eigenpairs; the bases hold %d"
+                         % (k0, min(basis_1.k, basis_2.k)))
 
     f1 = basis_1.phi[lm[:, 0], :k0].T            # (k0, L)
     f2 = basis_2.phi[lm[:, 1], :k0].T
-    if diffusion_time is not None:
-        f1 = np.exp(-diffusion_time * basis_1.lam[:k0])[:, None] * f1
-        f2 = np.exp(-diffusion_time * basis_2.lam[:k0])[:, None] * f2
 
     # map 1 -> 2 pulls coefficients back from shape 2: C f2 ~ f1
     c_for_12 = np.linalg.lstsq(f2.T, f1.T, rcond=None)[0].T

@@ -125,7 +125,7 @@ def eigenbasis(w, areas, k):
     ----------
     w : sparse matrix, (n, n)
         PSD cotangent matrix.
-    areas : (n,) array or sparse diagonal matrix
+    areas : (n,) array
         Lumped vertex areas.
     k : int
         Number of eigenpairs, ``k < n``.
@@ -134,8 +134,6 @@ def eigenbasis(w, areas, k):
     -------
     SpectralBasis
     """
-    if sparse.issparse(areas):
-        areas = np.asarray(areas.diagonal())
     areas = np.asarray(areas, dtype=np.float64)
     n = w.shape[0]
     if k >= n:

@@ -24,8 +24,8 @@ _ICO_FACES = np.array([
 ], dtype=np.int64)
 
 
-def icosphere(subdivisions=2, radius=1.0):
-    """Subdivided icosahedron projected to a sphere.
+def icosphere(subdivisions=2):
+    """Subdivided icosahedron projected to the unit sphere.
 
     Vertex count is ``10 * 4**subdivisions + 2``; ordering is
     deterministic.
@@ -35,7 +35,7 @@ def icosphere(subdivisions=2, radius=1.0):
     for _ in range(subdivisions):
         verts, faces = _subdivide(verts, faces)
         verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    return TriMesh(radius * verts, faces)
+    return TriMesh(verts, faces)
 
 
 def _subdivide(verts, faces):

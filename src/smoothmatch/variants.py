@@ -91,8 +91,9 @@ def y_step_dirichlet(pi, mesh_src, mesh_tgt, beta, solve=None):
     return solve(beta * a[:, None] * pulled)
 
 
-def dirichlet_operator(mesh, beta):
-    return mesh.cot_matrix + sparse.diags(beta * mesh.vertex_areas)
+def dirichlet_operator(mesh, beta, lam=1.0):
+    """``lam W + beta A``: the Dirichlet (``lam = 1``) and ARAP Y-step systems."""
+    return lam * mesh.cot_matrix + sparse.diags(beta * mesh.vertex_areas)
 
 
 # ----------------------------------------------------------------------
@@ -230,26 +231,22 @@ def y_step_arap(pi, mesh_src, mesh_tgt, beta, lam=1.0, solve=None):
         y += _a_centroid(pulled, a) - _a_centroid(y, a)
         return rot, y
     if solve is None:
-        solve = prefactored(arap_operator(mesh_src, beta, lam))
+        solve = prefactored(dirichlet_operator(mesh_src, beta, lam))
     y = solve(lam * b + beta * a[:, None] * pulled)
     return rot, y
-
-
-def arap_operator(mesh, beta, lam=1.0):
-    return lam * mesh.cot_matrix + sparse.diags(beta * mesh.vertex_areas)
 
 
 # ----------------------------------------------------------------------
 # Smooth-shells style spectral displacement
 # ----------------------------------------------------------------------
-def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam=1.0, k_def=None,
-                  return_rotations=False):
+def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam=1.0, k_def=None):
     """Spectral-displacement deformation with ARAP regularization.
 
     The update ``Y = X + Phi D`` restricts per-vertex translations to
     the first ``k_def`` eigenfunctions; ``D`` solves the k x k normal
     equations of the ARAP energy (rotations fit to ``Pi X_tgt``) plus
-    the spatial coupling term, projected onto the basis.
+    the spatial coupling term, projected onto the basis.  Returns
+    ``(D, Y, rotations)``.
     """
     k_def = basis_src.k if k_def is None else min(k_def, basis_src.k)
     x = mesh_src.vertices
@@ -267,10 +264,7 @@ def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam=1.0, k_def=None,
         d = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     else:
         d = np.linalg.solve(lhs, rhs)
-    y = x + phi @ d
-    if return_rotations:
-        return d, y, rot
-    return d, y
+    return d, x + phi @ d, rot
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +316,8 @@ def run_y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src,
                k_current, solve=None):
     """Dispatch one direction's Y-step; returns ``(y, aux)``.
 
-    ``aux`` carries the variant's auxiliary unknowns (rotations, affine
-    field, spectral displacement) for energy reporting.
+    ``aux`` carries the auxiliary unknowns the variant's energy needs
+    (rotations or the affine field), or None.
     """
     return ENERGIES[variant.kind].y_step(
         variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve
@@ -360,9 +354,9 @@ def _arap_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
 
 def _y_shells(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve):
     k_def = variant.k_def if variant.k_def is not None else k_current
-    d, y, rot = y_step_shells(pi_fwd, mesh_src, mesh_tgt, basis_src, beta, variant.lam,
-                              k_def=k_def, return_rotations=True)
-    return y, {"d_spec": d, "rotations": rot}
+    _, y, rot = y_step_shells(pi_fwd, mesh_src, mesh_tgt, basis_src, beta, variant.lam,
+                              k_def=k_def)
+    return y, {"rotations": rot}
 
 
 def _rhm_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
@@ -394,7 +388,7 @@ ENERGIES = {
     "nicp": Energy(1e-2, _y_nicp, _nicp_regularizer,
                    lambda v, mesh, beta: nicp_operator(mesh, beta)),
     "arap": Energy(1e-1, _y_arap, _arap_regularizer,
-                   lambda v, mesh, beta: arap_operator(mesh, beta, v.lam)),
+                   lambda v, mesh, beta: dirichlet_operator(mesh, beta, v.lam)),
     "shells": Energy(1e-3, _y_shells, _arap_regularizer, lambda v, mesh, beta: None),
     "rhm": Energy(
         1.0,

@@ -22,10 +22,10 @@ from conftest import hull_mesh, random_map
 from smoothmatch.energies import (
     EnergyWeights,
     bijectivity_energy,
-    coupled_smoothness_dirichlet,
     coupling_energy,
     dirichlet_energy,
-    total_energy,
+    energy_breakdown,
+    variant_smoothness,
 )
 from smoothmatch.mesh import TriMesh, cotangent_matrix, geodesic_distances, vertex_areas
 from smoothmatch.metrics import (
@@ -136,11 +136,11 @@ def test_energy_oracle_suite():
                 bijectivity_slow(state, b1, b2, w),
             )
             close(
-                coupled_smoothness_dirichlet(state, m1, m2, w),
+                variant_smoothness(state, m1, m2, w, None),
                 coupled_smoothness_slow(state, m1, m2, w),
             )
             close(
-                total_energy(state, m1, m2, b1, b2, w),
+                energy_breakdown(state, m1, m2, b1, b2, w)["e_total"],
                 total_energy_slow(state, m1, m2, b1, b2, w),
             )
 
@@ -156,7 +156,7 @@ def test_block_descent_monotonicity():
             cfg = SolverConfig(
                 k_init=8, k_final=8, n_outer=10,
                 gamma_init=0.5, gamma_final=0.5,
-                exact_pi_step=True, early_exit=False,
+                exact_pi_step=True,
                 weights=EnergyWeights(beta=2.0),
             )
             _, _, trace = refine(
@@ -164,7 +164,7 @@ def test_block_descent_monotonicity():
                 m1, m2, b1, b2, cfg,
             )
             e = trace.column("e_total")
-            worst = max(worst, float(np.max(np.diff(e))))
+            worst = max(worst, float(np.max(np.diff(e), initial=0.0)))
         assert worst <= 1e-9, "worst energy increase %.3e" % worst
 
 
@@ -220,7 +220,7 @@ def test_variant_solver_suite():
         assert np.linalg.norm(lhs - rhs_a) <= 1e-8 * np.linalg.norm(rhs_a)
 
         basis = compute_basis(m1, 10)
-        d_spec, y_sh = y_step_shells(pi, m1, m2, basis, beta=0.2, lam=1.0, k_def=10)
+        d_spec, y_sh, _ = y_step_shells(pi, m1, m2, basis, beta=0.2, lam=1.0, k_def=10)
         phi = basis.phi
         rot_sh = arap_local_step(pulled, m1)
         op_sh = phi.T @ (m1.cot_matrix @ phi) + 0.2 * phi.T @ (a[:, None] * phi)

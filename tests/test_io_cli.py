@@ -1,3 +1,4 @@
+import gzip
 import io
 import re
 
@@ -219,6 +220,43 @@ def test_eval_malformed_map_exits_2(fixture_dir, tmp_path, capsys):
     assert code == 2
     assert "map.txt:9: malformed pointwise map line" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("which", ["map12", "src"])
+def test_eval_gzip_input_exits_2(fixture_dir, tmp_path, capsys, which):
+    # a gzip file under a text name is rejected with its path, not with
+    # a bare UnicodeDecodeError
+    n = load_mesh(fixture_dir / "tgt.off").n_vertices
+    files = {"src": fixture_dir / "src.off", "map12": tmp_path / "map.txt"}
+    sm_io.write_pointwise_map(files["map12"], PointwiseMap(np.arange(n), n))
+    packed = tmp_path / "gz" / files[which].name
+    packed.parent.mkdir()
+    packed.write_bytes(gzip.compress(files[which].read_bytes()))
+    files[which] = packed
+    code = main(["eval", "--src", str(files["src"]), "--tgt", str(fixture_dir / "tgt.off"),
+                 "--map12", str(files["map12"])])
+    assert code == 2
+    assert "error: %s: not a text file" % packed in capsys.readouterr().err
+
+
+def test_writers_write_plain_text_to_gz_names(tmp_path):
+    # np.savetxt alone would gzip these, and no reader reads gzip back
+    from smoothmatch.solver import EnergyTrace
+
+    pi = PointwiseMap([2, 0, 1], 3)
+    sm_io.write_pointwise_map(tmp_path / "map.txt.gz", pi)
+    assert sm_io.read_pointwise_map(tmp_path / "map.txt.gz", 3) == pi
+    c = np.array([[1.5, -2.0], [0.25, 3.0]])
+    sm_io.write_fmap(tmp_path / "fmap.txt.gz", c)
+    assert sm_io.read_fmap(tmp_path / "fmap.txt.gz").tobytes() == c.tobytes()
+    pairs = np.array([[0, 4], [3, 1]])
+    sm_io.write_index_pairs(tmp_path / "pairs.txt.gz", pairs)
+    assert np.array_equal(sm_io.read_index_pairs(tmp_path / "pairs.txt.gz"), pairs)
+    trace = EnergyTrace()
+    trace.append(**dict.fromkeys(EnergyTrace.COLUMNS, 1.0))
+    trace.to_csv(tmp_path / "trace.csv.gz")
+    assert (tmp_path / "trace.csv.gz").read_text() == _TRACE_HEADER + "1,1,1,1,1,1,1,1\n"
+
+
 def test_ground_truth_two_formats(tmp_path):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("0 3\n2 5\n")
@@ -375,6 +413,35 @@ def test_refine_print_config(fixture_dir, tmp_path, capsys):
     assert "k_final 100" not in lines
 
 
+def test_refine_print_config_golden(fixture_dir, tmp_path, capsys):
+    # every config field of the default run, so an option change shows here
+    src, tgt = fixture_dir / "src.off", fixture_dir / "tgt.off"
+    code = main(["refine", "--src", str(src), "--tgt", str(tgt),
+                 "--landmarks", str(fixture_dir / "lm5.txt"),
+                 "--out", str(tmp_path / "o"), "--print-config"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(
+        "command refine\n"
+        "src %s\n"
+        "tgt %s\n"
+        "energy dirichlet\n"
+        "lam 1\n"
+        "mu 10000\n"
+        "k_def auto\n"
+        "k_init 20\n"
+        "k_final 100\n"
+        "n_outer 9\n"
+        "gamma_init 0.1\n"
+        "gamma_final 1\n"
+        "exact_pi_step False\n"
+        "spectral_bij 1\n"
+        "alpha 0.1\n"
+        "beta 200\n"
+        "normalize True\n"
+        "accuracy " % (src, tgt)
+    )
+
+
 def test_refine_rejects_k_def_below_one(fixture_dir, tmp_path, capsys):
     code = main([
         "refine", "--src", str(fixture_dir / "src.off"),
@@ -384,6 +451,17 @@ def test_refine_rejects_k_def_below_one(fixture_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "k_def must be at least 1" in capsys.readouterr().err
+
+
+def test_refine_rejects_k_def_above_k_final(fixture_dir, tmp_path, capsys):
+    code = main([
+        "refine", "--src", str(fixture_dir / "src.off"),
+        "--tgt", str(fixture_dir / "tgt.off"),
+        "--landmarks", str(fixture_dir / "lm5.txt"),
+        "--energy", "shells", "--k-def", "500", "--k-final", "30", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "k_def=500 exceeds k_final=30" in capsys.readouterr().err
 
 
 def test_singular_solve_is_solver_failure(capsys):

@@ -11,7 +11,6 @@ from smoothmatch.mesh import (
     cotangent_matrix,
     geodesic_distances,
     load_mesh,
-    mass_matrix,
     read_obj,
     vertex_areas,
     write_off,
@@ -226,7 +225,6 @@ def test_equilateral_mass(equilateral):
 def test_mass_trace_is_area(rng):
     mesh = hull_mesh(rng, 50, normalize=False)
     assert abs(vertex_areas(mesh).sum() - mesh.area) < 1e-10
-    assert abs(mass_matrix(mesh).diagonal().sum() - mesh.area) < 1e-10
 
 
 # ----------------------------------------------------------------------

@@ -151,11 +151,11 @@ def test_refine_monotone_energy(rng):
         m1, m2, b1, b2, state = random_pair(rng, 25, 28, 8)
         cfg = SolverConfig(
             k_init=8, k_final=8, n_outer=10, gamma_init=0.5, gamma_final=0.5,
-            exact_pi_step=True, early_exit=False, weights=EnergyWeights(beta=2.0),
+            exact_pi_step=True, weights=EnergyWeights(beta=2.0),
         )
         _, _, trace = refine(state.pi_12, state.pi_21, m1, m2, b1, b2, cfg)
         e = trace.column("e_total")
-        worst = max(worst, float(np.max(np.diff(e))))
+        worst = max(worst, float(np.max(np.diff(e), initial=0.0)))
     assert worst <= 1e-9
 
 
@@ -187,6 +187,26 @@ def test_refine_early_exit(sphere2, sphere2_basis):
                        gamma_init=1.0, gamma_final=1.0)
     _, _, trace = refine(ident, ident, sphere2, sphere2, sphere2_basis, sphere2_basis, cfg)
     assert len(trace) == 1
+
+
+def test_refine_early_exit_runs_the_whole_schedule():
+    # a fixed point at k=10 whose next scheduled k is also 10 (the
+    # rounded linspace repeats it) must not end a schedule that grows to 60
+    from smoothmatch.synth import jittered_copy
+
+    m1 = icosphere(3).normalized()
+    m2 = jittered_copy(icosphere(3), 0.02, seed=1).normalized()
+    b1, b2 = compute_basis(m1, 60), compute_basis(m2, 60)
+    lm = farthest_point_indices(m1, 5)
+    pi_12, pi_21 = landmark_init(np.column_stack([lm, lm]), b1, b2)
+    flat = SolverConfig(k_init=10, k_final=10, n_outer=50, gamma_init=1, gamma_final=1)
+    pi_12, pi_21, converged = refine(pi_12, pi_21, m1, m2, b1, b2, flat)
+    assert len(converged) < flat.n_outer
+
+    cfg = SolverConfig(k_init=10, k_final=60, n_outer=101, gamma_init=1, gamma_final=1)
+    assert list(cfg.k_schedule()[:2]) == [10, 10]
+    _, _, trace = refine(pi_12, pi_21, m1, m2, b1, b2, cfg)
+    assert trace.column("k")[-1] == cfg.k_final
 
 
 def test_refine_validates_inputs(sphere2, sphere2_basis, rng):
@@ -281,13 +301,9 @@ def test_landmark_init_errors(sphere2_basis):
         landmark_init(np.array([[0, 1], [0, 2]]), sphere2_basis, sphere2_basis)
     with pytest.raises(ValueError, match="out of range"):
         landmark_init(np.array([[0, 0], [10_000, 1]]), sphere2_basis, sphere2_basis)
-
-
-def test_landmark_diffusion_option(sphere2, sphere2_basis):
-    lm_idx = farthest_point_indices(sphere2, 5)
-    lm = np.column_stack([lm_idx, lm_idx])
-    pi_12, _ = landmark_init(lm, sphere2_basis, sphere2_basis, diffusion_time=1e-3)
-    assert pi_12.n_src == sphere2.n_vertices
+    lm = np.column_stack([np.arange(5), np.arange(5)])
+    with pytest.raises(ValueError, match="5 landmarks need as many eigenpairs"):
+        landmark_init(lm, sphere2_basis.sliced(4), sphere2_basis)
 
 
 def test_refine_rhm_improves_jittered_sphere():
@@ -320,7 +336,7 @@ def test_refine_open_boundary_meshes(rng):
     m1, m2 = grid_pair(rng)
     b1, b2 = compute_basis(m1, 20), compute_basis(m2, 20)
     lm = np.column_stack([[0, 7, 24], [0, 7, 24]])
-    pi_12, pi_21 = landmark_init(lm, b1, b2, k0=3)
+    pi_12, pi_21 = landmark_init(lm, b1, b2)
     cfg = SolverConfig(k_init=5, k_final=20, n_outer=4)
     f_12, f_21, trace = refine(pi_12, pi_21, m1, m2, b1, b2, cfg)
     assert len(trace) >= 1

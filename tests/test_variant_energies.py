@@ -112,16 +112,3 @@ def test_variant_smoothness_without_aux_raises(rng, kind):
     state.y_21 = state.pi_21.pull(m1.vertices)
     with pytest.raises(ValueError, match="needs the Y-steps'"):
         variant_smoothness(state, m1, m2, EnergyWeights(), Variant(kind))
-
-
-def test_variant_smoothness_accepts_string_kind(rng):
-    from smoothmatch.spectral import compute_basis
-
-    m1, m2 = hull_mesh(rng, 15), hull_mesh(rng, 15)
-    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
-    state.y_12 = state.pi_12.pull(m2.vertices)
-    state.y_21 = state.pi_21.pull(m1.vertices)
-    w = EnergyWeights()
-    assert variant_smoothness(state, m1, m2, w, "dirichlet") == pytest.approx(
-        variant_smoothness(state, m1, m2, w, Variant("dirichlet")), rel=1e-12
-    )

@@ -253,7 +253,7 @@ def test_arap_direct_sum_equals_energy(rng):
 def test_shells_identity_fixture(sphere2, sphere2_basis):
     pi = identity_map(sphere2)
     basis = sphere2_basis.sliced(20)
-    d, y = y_step_shells(pi, sphere2, sphere2, basis, beta=1e-3, lam=1.0, k_def=20)
+    d, y, _ = y_step_shells(pi, sphere2, sphere2, basis, beta=1e-3, lam=1.0, k_def=20)
     disp = basis.phi[:, :20] @ d
     assert np.sqrt(a_norm_sq(disp, sphere2.vertex_areas)) < 1e-6 * sphere2.bbox_diagonal
     assert np.abs(y - sphere2.vertices).max() < 1e-6
@@ -270,7 +270,7 @@ def test_shells_projected_residual(rng):
     basis = compute_basis(m1, 10)
     pi = random_map(rng, m1, m2)
     beta, lam, k_def = 0.2, 1.0, 10
-    d, y = y_step_shells(pi, m1, m2, basis, beta, lam, k_def)
+    d, y, _ = y_step_shells(pi, m1, m2, basis, beta, lam, k_def)
     phi = basis.phi[:, :k_def]
     a = m1.vertex_areas
     rot = arap_local_step(pi.pull(m2.vertices), m1)
@@ -383,7 +383,7 @@ def test_every_y_step_minimizes_its_energy(rng):
         assert e_new <= e_base + 1e-9
 
         basis = compute_basis(m1, 6)
-        d_spec, y = y_step_shells(pi, m1, m2, basis, beta, lam=1.0, k_def=6)
+        d_spec, y, _ = y_step_shells(pi, m1, m2, basis, beta, lam=1.0, k_def=6)
         rot_sh = arap_local_step(pulled, m1)
         e_new = arap_energy(rot_sh, y, m1) + beta * a_norm_sq(y - pulled, areas)
         e_base = arap_energy(rot_sh, m1.vertices, m1) + beta * a_norm_sq(
