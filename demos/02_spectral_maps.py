@@ -22,7 +22,7 @@ for ell, idx in ((0, 0), (1, 1), (2, 4), (3, 9)):
 # and converting back recovers the map exactly.
 n = sphere.n_vertices
 ident = PointwiseMap(np.arange(n), n)
-c = p2p_to_fmap(ident, basis, basis, 20, 20)
+c = p2p_to_fmap(ident, basis.sliced(20), basis.sliced(20))
 print("\nidentity map -> |C - I|_max = %.2e" % np.abs(c - np.eye(20)).max())
 
 # A noisy copy of the sphere: convert a ground-truth map down to a few
@@ -32,7 +32,7 @@ noisy = jittered_copy(icosphere(2), 0.02, seed=4).normalized()
 basis_noisy = compute_basis(noisy, 60)
 gt = PointwiseMap(np.arange(n), n)
 for k in (5, 20, 60):
-    c = p2p_to_fmap(gt, basis, basis_noisy, k, k)
+    c = p2p_to_fmap(gt, basis.sliced(k), basis_noisy.sliced(k))
     back = fmap_to_p2p(c, basis, basis_noisy)
     agree = np.mean(back.target_of == gt.target_of)
     print("k = %2d: map recovered on %5.1f%% of vertices" % (k, 100 * agree))

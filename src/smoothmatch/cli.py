@@ -16,7 +16,7 @@ import numpy as np
 from . import io as sm_io
 from .energies import EnergyWeights
 from .mesh import load_mesh, write_off
-from .metrics import compute_report
+from .metrics import checked_ground_truth, compute_report
 from .solver import SolverConfig, landmark_init, refine
 from .spectral import compute_basis
 from .synth import farthest_point_indices, icosphere, jittered_copy
@@ -61,7 +61,8 @@ def build_parser():
     p_ref.add_argument("--mu", type=float, default=1e4,
                        help="pointwise bijectivity weight (rhm)")
     p_ref.add_argument("--k-def", type=int, default=None,
-                       help="displacement basis size (shells)")
+                       help="displacement basis size (shells); each iteration uses "
+                            "min(k_def, K) for its spectral size K (default: K)")
     p_ref.add_argument("--exact-pi-step", action="store_true",
                        help="use all bijectivity terms in the assignment embedding")
     p_ref.add_argument("--no-normalize", action="store_true",
@@ -161,6 +162,20 @@ def _cmd_refine(args):
     config = _refine_config(args)
     mesh_1 = load_mesh(_require(args.src, "source mesh"), normalize=not args.no_normalize)
     mesh_2 = load_mesh(_require(args.tgt, "target mesh"), normalize=not args.no_normalize)
+    # every input file is read and checked before any work is done
+    if args.landmarks:
+        pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"))
+    else:
+        path_12, path_21 = args.init_map
+        pi_12 = sm_io.read_pointwise_map(_require(path_12, "initial map"), mesh_2.n_vertices)
+        pi_21 = sm_io.read_pointwise_map(_require(path_21, "initial map"), mesh_1.n_vertices)
+        if pi_12.n_src != mesh_1.n_vertices or pi_21.n_src != mesh_2.n_vertices:
+            raise ValueError("initial map length does not match mesh size")
+    gt_src = gt_tgt = None
+    if args.gt:
+        gt_src, gt_tgt = checked_ground_truth(
+            *sm_io.read_ground_truth(_require(args.gt, "ground-truth file")),
+            mesh_1.n_vertices, mesh_2.n_vertices)
 
     k_max = min(config.k_final, mesh_1.n_vertices - 2, mesh_2.n_vertices - 2)
     if k_max < 2:
@@ -176,14 +191,7 @@ def _cmd_refine(args):
     basis_2 = compute_basis(mesh_2, config.k_final)
 
     if args.landmarks:
-        pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"))
         pi_12, pi_21 = landmark_init(pairs, basis_1, basis_2)
-    else:
-        path_12, path_21 = args.init_map
-        pi_12 = sm_io.read_pointwise_map(_require(path_12, "initial map"), mesh_2.n_vertices)
-        pi_21 = sm_io.read_pointwise_map(_require(path_21, "initial map"), mesh_1.n_vertices)
-        if pi_12.n_src != mesh_1.n_vertices or pi_21.n_src != mesh_2.n_vertices:
-            raise ValueError("initial map length does not match mesh size")
 
     pi_12, pi_21, trace = refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config)
 
@@ -201,14 +209,10 @@ def _cmd_refine(args):
     from .spectral import p2p_to_fmap
     k = int(trace.rows[-1]["k"]) if len(trace) else config.k_final
     # fmap_NM.txt holds the spectral pull-back of map_NM.txt
-    sm_io.write_fmap(os.path.join(args.out, "fmap_12.txt"),
-                     p2p_to_fmap(pi_12, basis_1, basis_2, k, k))
-    sm_io.write_fmap(os.path.join(args.out, "fmap_21.txt"),
-                     p2p_to_fmap(pi_21, basis_2, basis_1, k, k))
+    b1, b2 = basis_1.sliced(k), basis_2.sliced(k)
+    sm_io.write_fmap(os.path.join(args.out, "fmap_12.txt"), p2p_to_fmap(pi_12, b1, b2))
+    sm_io.write_fmap(os.path.join(args.out, "fmap_21.txt"), p2p_to_fmap(pi_21, b2, b1))
 
-    gt_src = gt_tgt = None
-    if args.gt:
-        gt_src, gt_tgt = sm_io.read_ground_truth(_require(args.gt, "ground-truth file"))
     report = compute_report(pi_12, pi_21, mesh_1, mesh_2, gt_src, gt_tgt,
                             with_conformal=args.conformal)
     print(report.as_text())

@@ -21,7 +21,7 @@ The total objective is bijectivity plus ``gamma`` times the coupled
 smoothness block.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,8 +44,10 @@ class EnergyWeights:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if min(self.spectral_bij, self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("energy weights must be nonnegative")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < np.inf:
+                raise ValueError("energy weight %s must be finite and nonnegative (got %s)"
+                                 % (f.name, getattr(self, f.name)))
 
 
 def a_norm_sq(values, areas):
@@ -76,7 +78,7 @@ def coupling_energy(c, pi, basis_src, basis_tgt):
     from the shape of ``c``.
     """
     c = np.asarray(c, dtype=np.float64)
-    converted = p2p_to_fmap(pi, basis_src, basis_tgt, c.shape[0], c.shape[1])
+    converted = p2p_to_fmap(pi, basis_src.sliced(c.shape[0]), basis_tgt.sliced(c.shape[1]))
     diff = c - converted
     return float(np.einsum("ij,ij->", diff, diff))
 

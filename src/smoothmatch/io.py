@@ -1,7 +1,7 @@
 """Plain-text interchange formats.
 
 * Pointwise map: one 0-based target index per line.
-* Functional map: a ``k_src k_tgt`` header line, then the dense matrix
+* Functional map: a ``rows columns`` header line, then the dense matrix
   row-major, whitespace separated.
 * Index pairs (landmarks, sparse ground truth): ``src_idx tgt_idx`` per
   line; a ground-truth file may alternatively be a full pointwise map.
@@ -99,11 +99,11 @@ def read_fmap(path):
     if header.shape != (1, 2):
         raise ValueError("%s:%d: malformed functional map header"
                          % (path, lines[0] if texts else 1))
-    k_src, k_tgt = header[0]
+    rows, cols = header[0]
     c = _table(path, (lines[1:], texts[1:]), np.float64, None, "functional map")
-    if c.shape != (k_src, k_tgt):
+    if c.shape != (rows, cols):
         raise ValueError(
-            "%s: header promises %dx%d, found %s" % (path, k_src, k_tgt, c.shape)
+            "%s: header promises %dx%d, found %s" % (path, rows, cols, c.shape)
         )
     return c
 

@@ -56,6 +56,22 @@ def _distance_lookup(mesh, from_idx, to_idx):
     return dmat[inverse, to_idx]
 
 
+def checked_ground_truth(gt_src, gt_tgt, n_src, n_tgt):
+    """Ground-truth pairs as int arrays; ValueError if empty, of unequal
+    lengths, or outside ``[0, n_src)`` and ``[0, n_tgt)``."""
+    gt_src = np.asarray(gt_src, dtype=np.int64)
+    gt_tgt = np.asarray(gt_tgt, dtype=np.int64)
+    if gt_src.size == 0:
+        raise ValueError("empty ground-truth set")
+    if gt_src.shape != gt_tgt.shape:
+        raise ValueError("ground truth has %d source and %d target indices"
+                         % (gt_src.size, gt_tgt.size))
+    for idx, n, side in ((gt_src, n_src, "source"), (gt_tgt, n_tgt, "target")):
+        if idx.min() < 0 or idx.max() >= n:
+            raise ValueError("ground-truth %s index out of range [0, %d)" % (side, n))
+    return gt_src, gt_tgt
+
+
 def accuracy_metric(pi, gt_src, gt_tgt, mesh_tgt):
     """Mean geodesic error against ground truth, x100.
 
@@ -68,16 +84,7 @@ def accuracy_metric(pi, gt_src, gt_tgt, mesh_tgt):
     mesh_tgt : TriMesh
         Distances are measured on the target surface.
     """
-    gt_src = np.asarray(gt_src, dtype=np.int64)
-    gt_tgt = np.asarray(gt_tgt, dtype=np.int64)
-    if gt_src.size == 0:
-        raise ValueError("empty ground-truth set")
-    if gt_src.shape != gt_tgt.shape:
-        raise ValueError("ground truth has %d source and %d target indices"
-                         % (gt_src.size, gt_tgt.size))
-    for idx, n, side in ((gt_src, pi.n_src, "source"), (gt_tgt, mesh_tgt.n_vertices, "target")):
-        if idx.min() < 0 or idx.max() >= n:
-            raise ValueError("ground-truth %s index out of range [0, %d)" % (side, n))
+    gt_src, gt_tgt = checked_ground_truth(gt_src, gt_tgt, pi.n_src, mesh_tgt.n_vertices)
     mapped = pi.target_of[gt_src]
     d = _distance_lookup(mesh_tgt, mapped, gt_tgt)
     return GEODESIC_SCALE * float(d.mean())
@@ -154,13 +161,13 @@ def conformal_distortion(pi, mesh_src, mesh_tgt, return_collapsed=False):
     return mean
 
 
-def compute_report(pi_12, pi_21=None, mesh_1=None, mesh_2=None,
+def compute_report(pi_12, pi_21, mesh_1, mesh_2,
                    gt_src=None, gt_tgt=None, with_conformal=False):
     """Full metrics report for a map (pair).
 
-    Smoothness is averaged over both directions when both maps are
-    given; bijectivity needs both.  Accuracy needs ground truth for the
-    1->2 direction.
+    ``pi_21`` may be None.  Smoothness is averaged over both directions
+    when both maps are given; bijectivity needs both.  Accuracy needs
+    ground truth for the 1->2 direction.
     """
     report = MetricsReport()
     if gt_src is not None and gt_tgt is not None:

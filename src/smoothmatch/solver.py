@@ -22,7 +22,6 @@ map it represents.
 """
 
 import logging
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +52,10 @@ class SolverConfig:
             raise ValueError("need 1 <= k_init <= k_final")
         if self.n_outer < 1:
             raise ValueError("n_outer must be positive")
+        for name in ("gamma_init", "gamma_final"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError("%s must be finite and nonnegative (got %s)"
+                                 % (name, getattr(self, name)))
         if self.gamma_init != self.gamma_final and self.gamma_init <= 0:
             raise ValueError("a geometric gamma ramp needs gamma_init > 0")
         if self.weights is None:
@@ -77,15 +80,12 @@ class SolverConfig:
 class SolverState:
     """The six live variables of one refinement, plus auxiliaries."""
 
-    def __init__(self, pi_12, pi_21, c_12=None, c_21=None, y_12=None, y_21=None):
+    def __init__(self, pi_12, pi_21):
         self.pi_12 = pi_12
         self.pi_21 = pi_21
-        self.c_12 = c_12
-        self.c_21 = c_21
-        self.y_12 = y_12
-        self.y_21 = y_21
-        self.aux_12 = None
-        self.aux_21 = None
+        self.c_12 = self.c_21 = None
+        self.y_12 = self.y_21 = None
+        self.aux_12 = self.aux_21 = None
 
 
 class EnergyTrace:
@@ -106,26 +106,25 @@ class EnergyTrace:
     def __len__(self):
         return len(self.rows)
 
-    def to_csv(self, path_or_file):
-        """Write the trace as CSV to an open text file, or to a path as plain text."""
-        if isinstance(path_or_file, (str, os.PathLike)):
-            # np.savetxt would gzip a path ending in .gz
-            with open(path_or_file, "w") as fh:
-                return self.to_csv(fh)
+    def to_csv(self, path):
+        """Write the trace as CSV to ``path``, as plain text whatever its name."""
         rows = np.array([[r[c] for c in self.COLUMNS] for r in self.rows], dtype=np.float64)
-        np.savetxt(path_or_file, rows.reshape(-1, len(self.COLUMNS)), comments="",
-                   fmt="%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g",
-                   header=",".join(self.COLUMNS))
+        # an open file, since np.savetxt would gzip a path ending in .gz
+        with open(path, "w") as fh:
+            np.savetxt(fh, rows.reshape(-1, len(self.COLUMNS)), comments="",
+                       fmt="%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g",
+                       header=",".join(self.COLUMNS))
 
 
-def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights, k):
+def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights):
     # exact minimizer over C_ji of both terms it appears in:
     #   |Pi_ji Phi_i C - Phi_j|^2_{A_j} + alpha |Phi_i C - Pi_ij Phi_j|^2_{A_i}
     # which, with Phi_i.T A_i Phi_i = I, gives the K x K SPD system
     #   (Phi_i.T Pi_ji.T A_j Pi_ji Phi_i + alpha I) C
     #        = Phi_i.T Pi_ji.T A_j Phi_j + alpha Phi_i.T A_i Pi_ij Phi_j
-    phi_i = basis_i.phi[:, :k]
-    phi_j = basis_j.phi[:, :k]
+    phi_i = basis_i.phi
+    phi_j = basis_j.phi
+    k = basis_i.k
     a_j = basis_j.areas
     pulled = phi_i[pi_back.target_of]                     # Pi_ji Phi_i
     lhs = pulled.T @ (a_j[:, None] * pulled)
@@ -142,15 +141,15 @@ def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights, k):
     return np.linalg.solve(lhs, rhs)
 
 
-def c_step(state, basis_1, basis_2, weights, k=None):
+def c_step(state, basis_1, basis_2, weights):
     """Closed-form update of both functional maps at fixed Pi.
 
     Returns ``(c_12, c_21)`` where each K x K map is the exact joint
-    minimizer of the bijectivity energy in its own variable.
+    minimizer of the bijectivity energy in its own variable; K is the
+    size of the bases passed in.
     """
-    k = basis_1.k if k is None else k
-    c_21 = _c_direction(state.pi_21, state.pi_12, basis_1, basis_2, weights, k)
-    c_12 = _c_direction(state.pi_12, state.pi_21, basis_2, basis_1, weights, k)
+    c_21 = _c_direction(state.pi_21, state.pi_12, basis_1, basis_2, weights)
+    c_12 = _c_direction(state.pi_12, state.pi_21, basis_2, basis_1, weights)
     return c_12, c_21
 
 
@@ -160,32 +159,29 @@ def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, ex
     #   alpha |Phi_tgt[p] - (Phi_src C_own)[q]|^2
     #   + gamma beta |X_tgt[p] - Y[q]|^2
     #   (+ spectral_bij |(Phi_tgt C_other)[p] - Phi_src[q]|^2 in exact mode)
-    k_src, k_tgt = c_own.shape
-    phi_src = basis_src.phi[:, :k_src]
-    phi_tgt = basis_tgt.phi[:, :k_tgt]
-
     sa = np.sqrt(weights.alpha)
-    query = [sa * (phi_src @ c_own)]
-    data = [sa * phi_tgt]
+    query = [sa * (basis_src.phi @ c_own)]
+    data = [sa * basis_tgt.phi]
 
-    q_sp, d_sp = _variants.spatial_embedding(
-        y, mesh_tgt.vertices, weights.gamma, weights.beta
-    )
-    if q_sp.shape[1]:
-        query.append(q_sp)
-        data.append(d_sp)
+    if weights.gamma * weights.beta != 0:
+        s = np.sqrt(weights.gamma * weights.beta)
+        query.append(s * y)
+        data.append(s * mesh_tgt.vertices)
 
     if exact:
         sb = np.sqrt(weights.spectral_bij)
-        query.append(sb * phi_src)
-        data.append(sb * (phi_tgt @ c_other))
+        query.append(sb * basis_src.phi)
+        data.append(sb * (basis_tgt.phi @ c_other))
 
     idx = nearest_rows(np.hstack(query), np.hstack(data))
     return PointwiseMap(idx, mesh_tgt.n_vertices)
 
 
 def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, weights, exact=False):
-    """Row-separable assignment update of both pointwise maps."""
+    """Row-separable assignment update of both pointwise maps.
+
+    The bases hold the K eigenpairs of the state's K x K functional maps.
+    """
     pi_12 = _pi_direction(
         state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2, weights, exact
     )
@@ -250,15 +246,13 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
         b1 = basis_1.sliced(k)
         b2 = basis_2.sliced(k)
 
-        state.c_12, state.c_21 = c_step(state, b1, b2, w_it, k)
+        state.c_12, state.c_21 = c_step(state, b1, b2, w_it)
 
         state.y_12, state.aux_12 = _variants.run_y_step(
-            variant, w_it.beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, k,
-            solve=solves[0],
+            variant, w_it.beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, solve=solves[0]
         )
         state.y_21, state.aux_21 = _variants.run_y_step(
-            variant, w_it.beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, k,
-            solve=solves[1],
+            variant, w_it.beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, solve=solves[1]
         )
 
         new_12, new_21 = pi_step(

@@ -4,7 +4,7 @@ Direction bookkeeping.  A pointwise map ``pi`` from a source mesh to a
 target mesh stores one target vertex index per source vertex.  Its
 spectral counterpart is the pull-back matrix
 
-    C = Phi_src.T @ A_src @ (Pi @ Phi_tgt)        (k_src x k_tgt)
+    C = Phi_src.T @ A_src @ (Pi @ Phi_tgt)        (K_src x K_tgt)
 
 which transports coefficients of functions on the *target* into
 coefficients on the *source* (the adjoint convention: with A-orthonormal
@@ -169,20 +169,17 @@ def compute_basis(mesh, k):
     return eigenbasis(mesh.cot_matrix, mesh.vertex_areas, k)
 
 
-def p2p_to_fmap(pi, basis_src, basis_tgt, k_src=None, k_tgt=None):
+def p2p_to_fmap(pi, basis_src, basis_tgt):
     """Convert a pointwise map to its pull-back functional map.
 
     Returns ``Phi_src.T A_src (Pi Phi_tgt)`` of shape
-    ``(k_src, k_tgt)``, using the first ``k`` columns of each basis.
+    ``(basis_src.k, basis_tgt.k)``; pass ``basis.sliced(k)`` for a
+    smaller map.
     """
-    k_src = basis_src.k if k_src is None else k_src
-    k_tgt = basis_tgt.k if k_tgt is None else k_tgt
-    if k_src > basis_src.k or k_tgt > basis_tgt.k:
-        raise ValueError("requested spectral size exceeds stored basis")
     if pi.n_src != basis_src.n or pi.n_tgt != basis_tgt.n:
         raise ValueError("map does not match basis dimensions")
-    pulled = basis_tgt.phi[pi.target_of, :k_tgt]
-    return basis_src.phi[:, :k_src].T @ (basis_src.areas[:, None] * pulled)
+    pulled = basis_tgt.phi[pi.target_of]
+    return basis_src.phi.T @ (basis_src.areas[:, None] * pulled)
 
 
 def fmap_to_p2p(c, basis_src, basis_tgt):
@@ -193,11 +190,11 @@ def fmap_to_p2p(c, basis_src, basis_tgt):
     index.
     """
     c = np.asarray(c, dtype=np.float64)
-    k_src, k_tgt = c.shape
-    if k_src > basis_src.k or k_tgt > basis_tgt.k:
+    rows, cols = c.shape
+    if rows > basis_src.k or cols > basis_tgt.k:
         raise ValueError("functional map larger than the stored bases")
-    queries = basis_src.phi[:, :k_src] @ c
-    idx = nearest_rows(queries, basis_tgt.phi[:, :k_tgt])
+    queries = basis_src.phi[:, :rows] @ c
+    idx = nearest_rows(queries, basis_tgt.phi[:, :cols])
     return PointwiseMap(idx, basis_tgt.n)
 
 

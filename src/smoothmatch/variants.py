@@ -32,7 +32,8 @@ class Variant:
 
     lam : rigidity weight of the ARAP/shells energies
     mu : pointwise-bijectivity weight of the RHM energy
-    k_def : displacement basis size for shells (None: current map size)
+    k_def : displacement basis size for shells; each iteration uses
+        ``min(k_def, K)`` for its spectral size K (None: K)
     """
 
     kind: str = "dirichlet"
@@ -43,8 +44,10 @@ class Variant:
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError("unknown variant %r (expected one of %s)" % (self.kind, ", ".join(VARIANT_KINDS)))
-        if self.lam <= 0 or self.mu < 0:
-            raise ValueError("variant weights must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite (got %s)" % self.lam)
+        if not 0 <= self.mu < np.inf:
+            raise ValueError("mu must be nonnegative and finite (got %s)" % self.mu)
         if self.k_def is not None and self.k_def < 1:
             raise ValueError("k_def must be at least 1 (got %s)" % self.k_def)
 
@@ -243,9 +246,10 @@ def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam=1.0, k_def=None):
     """Spectral-displacement deformation with ARAP regularization.
 
     The update ``Y = X + Phi D`` restricts per-vertex translations to
-    the first ``k_def`` eigenfunctions; ``D`` solves the k x k normal
-    equations of the ARAP energy (rotations fit to ``Pi X_tgt``) plus
-    the spatial coupling term, projected onto the basis.  Returns
+    the first ``min(k_def, basis_src.k)`` eigenfunctions (all of them
+    when ``k_def`` is None); ``D`` solves the k x k normal equations of
+    the ARAP energy (rotations fit to ``Pi X_tgt``) plus the spatial
+    coupling term, projected onto the basis.  Returns
     ``(D, Y, rotations)``.
     """
     k_def = basis_src.k if k_def is None else min(k_def, basis_src.k)
@@ -270,7 +274,7 @@ def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam=1.0, k_def=None):
 # ----------------------------------------------------------------------
 # RHM (reversible-map coupling)
 # ----------------------------------------------------------------------
-def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu, dirichlet_solve=None):
+def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu):
     """Dirichlet Y-step with an extra pointwise reversibility pull.
 
     Minimizes ``E_D(Y) + beta |Y - Pi_fwd X_tgt|^2_{A_src}
@@ -279,7 +283,8 @@ def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu, dirichlet_solve=Non
     but depends on the current map and is factored per call.
     """
     if mu == 0:
-        return y_step_dirichlet(pi_fwd, mesh_src, mesh_tgt, beta, solve=dirichlet_solve)
+        # the Dirichlet Y-step, which pins beta == 0 instead of factoring the singular W
+        return y_step_dirichlet(pi_fwd, mesh_src, mesh_tgt, beta)
     n_src = mesh_src.n_vertices
     a_src = mesh_src.vertex_areas
     a_tgt = mesh_tgt.vertex_areas
@@ -295,32 +300,17 @@ def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu, dirichlet_solve=Non
 
 
 # ----------------------------------------------------------------------
-# assignment-step embedding and dispatch
+# dispatch
 # ----------------------------------------------------------------------
-def spatial_embedding(y, x_tgt, gamma, beta):
-    """Spatial block of the assignment embedding: ``(query, data)`` rows.
-
-    Queries are ``sqrt(gamma*beta) * Y`` (one per source vertex), data
-    rows are the scaled raw target coordinates; a zero weight yields
-    empty blocks.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    x_tgt = np.asarray(x_tgt, dtype=np.float64)
-    s = np.sqrt(gamma * beta)
-    if s == 0.0:
-        return np.zeros((y.shape[0], 0)), np.zeros((x_tgt.shape[0], 0))
-    return s * y, s * x_tgt
-
-
-def run_y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src,
-               k_current, solve=None):
+def run_y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve=None):
     """Dispatch one direction's Y-step; returns ``(y, aux)``.
 
-    ``aux`` carries the auxiliary unknowns the variant's energy needs
-    (rotations or the affine field), or None.
+    ``basis_src`` holds the current K eigenpairs.  ``aux`` carries the
+    auxiliary unknowns the variant's energy needs (rotations or the
+    affine field), or None.
     """
     return ENERGIES[variant.kind].y_step(
-        variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve
+        variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve
     )
 
 
@@ -332,7 +322,7 @@ def _aux_sum(state, mesh_1, mesh_2, key, term):
     return term(state.aux_12[key], state.y_12, mesh_1) + term(state.aux_21[key], state.y_21, mesh_2)
 
 
-def _y_nicp(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve):
+def _y_nicp(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve):
     d, y = y_step_nicp(pi_fwd, mesh_src, mesh_tgt, beta, solve=solve)
     return y, {"affine": d}
 
@@ -342,7 +332,7 @@ def _nicp_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
         d.reshape(mesh.n_vertices, 12), mesh.cot_matrix))
 
 
-def _y_arap(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve):
+def _y_arap(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve):
     rot, y = y_step_arap(pi_fwd, mesh_src, mesh_tgt, beta, variant.lam, solve=solve)
     return y, {"rotations": rot}
 
@@ -352,10 +342,9 @@ def _arap_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
     return variant.lam * _aux_sum(state, mesh_1, mesh_2, "rotations", arap_energy)
 
 
-def _y_shells(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, k_current, solve):
-    k_def = variant.k_def if variant.k_def is not None else k_current
+def _y_shells(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve):
     _, y, rot = y_step_shells(pi_fwd, mesh_src, mesh_tgt, basis_src, beta, variant.lam,
-                              k_def=k_def)
+                              k_def=variant.k_def)
     return y, {"rotations": rot}
 
 
@@ -369,7 +358,8 @@ def _rhm_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
 # The only dispatch on the energy kind.  Per energy: the default beta;
 # the Y-step, with run_y_step's arguments, returning (y, aux); the
 # regularizer, i.e. the smoothness block minus beta * e_couple_spatial;
-# and, for beta > 0, the map-independent Y-step operator or None.
+# and, for beta > 0, the map-independent Y-step operator, or None where
+# the system depends on the map (rhm) or is solved in the basis (shells).
 Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
 
 # The area-weighted coupling norm makes the spatial block scale like
@@ -380,7 +370,7 @@ Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
 ENERGIES = {
     "dirichlet": Energy(
         200.0,
-        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, k, solve: (
+        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, solve: (
             y_step_dirichlet(pi_fwd, src, tgt, beta, solve=solve), None),
         lambda state, mesh_1, mesh_2, v, e_dirichlet: e_dirichlet,
         lambda v, mesh, beta: dirichlet_operator(mesh, beta),
@@ -392,11 +382,10 @@ ENERGIES = {
     "shells": Energy(1e-3, _y_shells, _arap_regularizer, lambda v, mesh, beta: None),
     "rhm": Energy(
         1.0,
-        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, k, solve: (
-            y_step_rhm(pi_fwd, pi_bwd, src, tgt, beta, v.mu, dirichlet_solve=solve), None),
+        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, solve: (
+            y_step_rhm(pi_fwd, pi_bwd, src, tgt, beta, v.mu), None),
         _rhm_regularizer,
-        # with mu == 0 the RHM Y-step is the Dirichlet one
-        lambda v, mesh, beta: dirichlet_operator(mesh, beta) if v.mu == 0 else None,
+        lambda v, mesh, beta: None,
     ),
 }
 VARIANT_KINDS = tuple(ENERGIES)

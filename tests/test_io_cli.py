@@ -1,5 +1,4 @@
 import gzip
-import io
 import re
 
 import numpy as np
@@ -105,23 +104,16 @@ _TRACE_HEADER = "iteration,k,gamma,e_bij,e_couple_spec,e_dirichlet,e_couple_spat
      "1,30,0.316227766017,0,4.94065645841e-324,-1e-300,0.666666666667,-7.25\n"),
     ([], ""),
 ], ids=["rows", "empty"])
-@pytest.mark.parametrize("to_path", [True, False], ids=["path", "file"])
-def test_trace_csv_golden_bytes(tmp_path, rows, body, to_path):
+@pytest.mark.parametrize("as_str", [False, True], ids=["path", "str"])
+def test_trace_csv_golden_bytes(tmp_path, rows, body, as_str):
     from smoothmatch.solver import EnergyTrace
 
     trace = EnergyTrace()
     for r in rows:
         trace.append(**dict(zip(EnergyTrace.COLUMNS, r)))
-    if to_path:
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        text = path.read_bytes().decode()
-    else:
-        buf = io.StringIO()
-        trace.to_csv(buf)
-        assert not buf.closed
-        text = buf.getvalue()
-    assert text == _TRACE_HEADER + body
+    path = tmp_path / "trace.csv"
+    trace.to_csv(str(path) if as_str else path)
+    assert path.read_bytes().decode() == _TRACE_HEADER + body
 
 
 @pytest.mark.parametrize("reader, text, what", [
@@ -462,6 +454,42 @@ def test_refine_rejects_k_def_above_k_final(fixture_dir, tmp_path, capsys):
     ])
     assert code == 2
     assert "k_def=500 exceeds k_final=30" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--alpha", "inf"], "alpha"),
+    (["--gamma-init", "nan"], "gamma_init"),
+    (["--beta", "nan"], "beta"),
+    (["--energy", "arap", "--lam", "nan"], "lam"),
+    (["--energy", "rhm", "--mu", "inf"], "mu"),
+], ids=["alpha", "gamma_init", "beta", "lam", "mu"])
+def test_refine_rejects_non_finite_weights(fixture_dir, tmp_path, capsys, flags, field):
+    code = main([
+        "refine", "--src", str(fixture_dir / "src.off"),
+        "--tgt", str(fixture_dir / "tgt.off"),
+        "--landmarks", str(fixture_dir / "lm5.txt"), "--out", str(tmp_path / "o"),
+    ] + flags)
+    assert code == 2
+    assert re.search(r"error: .*\b%s must be .*finite" % field, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("gt_text, message", [
+    ("0 1\n2 x\n", "gt.txt:2: malformed ground-truth line"),
+    ("1 999\n", "ground-truth target index out of range"),
+], ids=["malformed", "out_of_range"])
+def test_refine_bad_ground_truth_fails_before_writing(fixture_dir, tmp_path, capsys,
+                                                      gt_text, message):
+    gt = tmp_path / "gt.txt"
+    gt.write_text(gt_text)
+    out = tmp_path / "o"
+    code = main([
+        "refine", "--src", str(fixture_dir / "src.off"),
+        "--tgt", str(fixture_dir / "tgt.off"),
+        "--landmarks", str(fixture_dir / "lm5.txt"), "--gt", str(gt), "--out", str(out),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_singular_solve_is_solver_failure(capsys):

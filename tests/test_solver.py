@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -57,7 +55,7 @@ def test_c_step_exact_minimization_lowers_energy(rng):
 def test_c_step_matches_dense_least_squares(rng):
     m1, m2, b1, b2, state = random_pair(rng, 15, 15, 5)
     w = EnergyWeights(alpha=0.23)
-    c_12, c_21 = c_step(state, b1, b2, w, k=5)
+    c_12, c_21 = c_step(state, b1, b2, w)
     slow_12, slow_21 = c_step_slow(state, b1, b2, w, 5)
     assert np.abs(c_12 - slow_12).max() < 1e-9
     assert np.abs(c_21 - slow_21).max() < 1e-9
@@ -251,13 +249,12 @@ def test_weights_gamma_is_owned_by_schedule():
     assert SolverConfig(weights=EnergyWeights(beta=2.0)).weights.gamma == 1.0
 
 
-def test_trace_csv_roundtrip(sphere2, sphere2_basis):
+def test_trace_csv_roundtrip(sphere2, sphere2_basis, tmp_path):
     ident = identity_map(sphere2)
     _, _, trace = refine(ident, ident, sphere2, sphere2, sphere2_basis,
                          sphere2_basis, SolverConfig(n_outer=2, k_final=30))
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
+    trace.to_csv(tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "iteration,k,gamma,e_bij,e_couple_spec,e_dirichlet,e_couple_spatial,e_total"
     assert len(lines) == len(trace) + 1
 
@@ -326,6 +323,36 @@ def test_refine_rhm_improves_jittered_sphere():
                            SolverConfig(variant=Variant("rhm")))
     assert accuracy_metric(f_12, gt, gt, m2) * 1.5 <= acc0
     assert smoothness_metric(f_12, m1, m2) * 1.5 <= ed0
+
+
+def _jittered_sphere_run(sphere2, sphere2_basis, cfg):
+    # maps and trace rows of one refine run, as bytes
+    from smoothmatch.synth import jittered_copy
+
+    m2 = jittered_copy(icosphere(2), 0.02, seed=1).normalized()
+    b2 = compute_basis(m2, 100)
+    lm = farthest_point_indices(sphere2, 5)
+    pi_12, pi_21 = landmark_init(np.column_stack([lm, lm]), sphere2_basis, b2)
+    f_12, f_21, trace = refine(pi_12, pi_21, sphere2, m2, sphere2_basis, b2, cfg)
+    rows = np.array([[r[c] for c in trace.COLUMNS] for r in trace.rows])
+    return f_12.target_of.tobytes() + f_21.target_of.tobytes(), rows.tobytes()
+
+
+def test_refine_shells_k_def_is_capped_by_k(sphere2, sphere2_basis):
+    # each iteration uses min(k_def, K) displacement modes, so k_def=k_final
+    # is the default (K itself) under a growing schedule
+    runs = [_jittered_sphere_run(sphere2, sphere2_basis, SolverConfig(
+        k_init=10, k_final=40, n_outer=4, variant=variant))
+        for variant in (Variant("shells"), Variant("shells", k_def=40))]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0])
+def test_refine_rhm_mu_zero_is_dirichlet(sphere2, sphere2_basis, beta):
+    runs = [_jittered_sphere_run(sphere2, sphere2_basis, SolverConfig(
+        k_init=10, k_final=40, n_outer=4, variant=variant, weights=EnergyWeights(beta=beta)))
+        for variant in (Variant("rhm", mu=0.0), Variant("dirichlet"))]
+    assert runs[0] == runs[1]
 
 
 def test_refine_open_boundary_meshes(rng):

@@ -97,7 +97,8 @@ def test_sliced_view(sphere2_basis):
 def test_identity_map_gives_identity_fmap(sphere2, sphere2_basis):
     n = sphere2.n_vertices
     ident = PointwiseMap(np.arange(n), n)
-    c = p2p_to_fmap(ident, sphere2_basis, sphere2_basis, 20, 20)
+    b = sphere2_basis.sliced(20)
+    c = p2p_to_fmap(ident, b, b)
     assert np.abs(c - np.eye(20)).max() < 1e-8
 
 
@@ -106,7 +107,7 @@ def test_constant_map_fmap_structure(rng):
     basis = compute_basis(mesh, 6)
     q = 5
     pi = PointwiseMap(np.full(mesh.n_vertices, q), mesh.n_vertices)
-    c = p2p_to_fmap(pi, basis, basis, 6, 6)
+    c = p2p_to_fmap(pi, basis, basis)
     dense = basis.phi.T @ np.diag(basis.areas) @ dense_pi(pi) @ basis.phi
     assert np.abs(c - dense).max() < 1e-12
     # rank one: (Phi^T A 1) outer Phi[q]
@@ -162,7 +163,7 @@ def test_dimension_checks(sphere2, sphere2_basis, rng):
     with pytest.raises(ValueError):
         p2p_to_fmap(pi, sphere2_basis, b_small)     # map/basis mismatch
     with pytest.raises(ValueError):
-        p2p_to_fmap(pi, b_small, b_small, 5, 4)     # k exceeds basis
+        p2p_to_fmap(pi, b_small.sliced(5), b_small)     # k exceeds basis
 
 
 # ----------------------------------------------------------------------

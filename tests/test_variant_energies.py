@@ -45,10 +45,10 @@ def _state_with_y_steps(rng, kind, m1, m2, b1, b2):
     w = EnergyWeights(beta=variant.default_beta)
     state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
     state.y_12, state.aux_12 = run_y_step(
-        variant, w.beta, state.pi_12, state.pi_21, m1, m2, b1, b1.k, solve=None
+        variant, w.beta, state.pi_12, state.pi_21, m1, m2, b1, solve=None
     )
     state.y_21, state.aux_21 = run_y_step(
-        variant, w.beta, state.pi_21, state.pi_12, m2, m1, b2, b2.k, solve=None
+        variant, w.beta, state.pi_21, state.pi_12, m2, m1, b2, solve=None
     )
     return variant, w, state
 

@@ -16,7 +16,6 @@ from smoothmatch.variants import (
     arap_rhs,
     arap_rigid_term,
     nicp_operator,
-    spatial_embedding,
     y_step_arap,
     y_step_dirichlet,
     y_step_nicp,
@@ -402,18 +401,6 @@ def test_every_y_step_minimizes_its_energy(rng):
             )
 
         assert rhm_energy(y) <= rhm_energy(pulled) + 1e-9
-
-
-def test_spatial_embedding_scaling(rng):
-    y = rng.normal(size=(10, 3))
-    x = rng.normal(size=(12, 3))
-    q0, d0 = spatial_embedding(y, x, gamma=0.0, beta=5.0)
-    assert q0.shape == (10, 0) and d0.shape == (12, 0)
-    q1, d1 = spatial_embedding(y, x, gamma=0.5, beta=2.0)
-    q2, d2 = spatial_embedding(y, x, gamma=1.0, beta=2.0)
-    dist1 = np.sum((q1[0] - d1[0]) ** 2)
-    dist2 = np.sum((q2[0] - d2[0]) ** 2)
-    assert dist2 == pytest.approx(2.0 * dist1, rel=1e-12)
 
 
 def test_variant_validation():
