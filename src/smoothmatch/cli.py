@@ -164,7 +164,8 @@ def _cmd_refine(args):
     mesh_2 = load_mesh(_require(args.tgt, "target mesh"), normalize=not args.no_normalize)
     # every input file is read and checked before any work is done
     if args.landmarks:
-        pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"))
+        pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"),
+                                       (mesh_1.n_vertices, mesh_2.n_vertices))
     else:
         path_12, path_21 = args.init_map
         pi_12 = sm_io.read_pointwise_map(_require(path_12, "initial map"), mesh_2.n_vertices)

@@ -145,6 +145,15 @@ class TriMesh:
         coo = sparse.triu(self.cot_matrix, k=1).tocoo()
         return np.column_stack([coo.row, coo.col]), -coo.data
 
+    @cached_property
+    def edge_graph(self):
+        """Edge-length graph for Dijkstra: (n, n) CSR holding ``|v_i - v_j|``
+        at ``(i, j)`` for every edge ``i < j``."""
+        e = self.edges
+        lengths = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+        n = self.n_vertices
+        return sparse.csr_matrix((lengths, (e[:, 0], e[:, 1])), shape=(n, n))
+
 
 def cotangent_matrix(mesh):
     """Assemble the PSD cotangent matrix of a mesh.
@@ -190,7 +199,7 @@ def vertex_areas(mesh):
     return np.bincount(mesh.faces.ravel(), weights=thirds, minlength=mesh.n_vertices)
 
 
-def geodesic_distances(mesh, sources):
+def geodesic_distances(mesh, sources, limit=np.inf):
     """Shortest-path distances along mesh edges (Dijkstra).
 
     Parameters
@@ -198,21 +207,24 @@ def geodesic_distances(mesh, sources):
     mesh : TriMesh
     sources : sequence of int
         Source vertex indices.
+    limit : float
+        Stop each search at this distance.  Distances ``<= limit`` are
+        the same floats as without a limit: scipy's Dijkstra only
+        enqueues tentative values within the limit, and a vertex's final
+        value is a minimum over relaxations from vertices settled before
+        it, all of which lie within the limit too.
 
     Returns
     -------
     (len(sources), n) ndarray
         Row ``s`` holds the distance from ``sources[s]`` to every
-        vertex; unreachable vertices get ``inf``.
+        vertex; unreachable vertices, and vertices beyond ``limit``,
+        get ``inf``.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if sources.size and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
         raise ValueError("source index out of range")
-    e = mesh.edges
-    lengths = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-    n = mesh.n_vertices
-    graph = sparse.csr_matrix((lengths, (e[:, 0], e[:, 1])), shape=(n, n))
-    return csgraph.dijkstra(graph, directed=False, indices=sources)
+    return csgraph.dijkstra(mesh.edge_graph, directed=False, indices=sources, limit=limit)
 
 
 # ----------------------------------------------------------------------

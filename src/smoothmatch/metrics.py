@@ -14,11 +14,17 @@ inf when a round trip crosses them, and the other metrics stay finite.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
+from . import spectral
 from .energies import dirichlet_energy
 from .mesh import geodesic_distances
 
 GEODESIC_SCALE = 100.0
+
+# the first bounded Dijkstra pass of a distance lookup reaches this many
+# mean edge lengths; each further pass doubles its reach
+_FIRST_LIMIT_EDGES = 4.0
 
 
 @dataclass
@@ -49,11 +55,49 @@ class MetricsReport:
 
 
 def _distance_lookup(mesh, from_idx, to_idx):
-    # geodesic distances d(from_idx[t], to_idx[t]) via Dijkstra from the
-    # distinct sources only
-    uniq, inverse = np.unique(from_idx, return_inverse=True)
-    dmat = geodesic_distances(mesh, uniq)
-    return dmat[inverse, to_idx]
+    """Geodesic distances ``d(from_idx[t], to_idx[t])``, in the order given.
+
+    Pairs with equal ends are 0 and pairs across components are inf,
+    without a search.  The rest are read from bounded Dijkstra passes
+    over their distinct sources: the first pass stops at
+    ``_FIRST_LIMIT_EDGES`` mean edge lengths, and each further pass
+    doubles the limit and re-runs only the sources with a pair still
+    beyond it.  Values within a limit are the same floats as from an
+    unbounded search (see ``geodesic_distances``).  Sources run in
+    chunks whose distance blocks hold at most ``spectral._CHUNK_PAIRS``
+    entries, so memory is O(chunk * n) whatever the pair count.
+    """
+    from_idx = np.asarray(from_idx, dtype=np.int64)
+    to_idx = np.asarray(to_idx, dtype=np.int64)
+    graph = mesh.edge_graph
+    _, comp = csgraph.connected_components(graph, directed=False)
+    same = comp[from_idx] == comp[to_idx]
+    out = np.where(same, 0.0, np.inf)
+    todo = np.flatnonzero(same & (from_idx != to_idx))
+    if not todo.size:
+        return out
+    # sorted by source, so each chunk of sources is one slice of the pairs
+    todo = todo[np.argsort(from_idx[todo], kind="stable")]
+    rows = max(1, spectral._CHUNK_PAIRS // mesh.n_vertices)
+    limit = _FIRST_LIMIT_EDGES * graph.data.mean()
+    # no path within a component is longer than all edges together; the
+    # unbounded pass this forces also ends the loop on non-finite lengths
+    longest = graph.data.sum()
+    while todo.size:
+        if not limit < longest:
+            limit = np.inf
+        uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
+        found = np.zeros(todo.size, dtype=bool)
+        for first in range(0, uniq.size, rows):
+            lo, hi = np.searchsorted(inverse, [first, first + rows])
+            pairs = todo[lo:hi]
+            # one expression, so a block is freed before the next is built
+            out[pairs] = geodesic_distances(mesh, uniq[first:first + rows], limit=limit)[
+                inverse[lo:hi] - first, to_idx[pairs]]
+            found[lo:hi] = np.isfinite(out[pairs]) | (limit == np.inf)
+        todo = todo[~found]
+        limit *= 2.0
+    return out
 
 
 def checked_ground_truth(gt_src, gt_tgt, n_src, n_tgt):

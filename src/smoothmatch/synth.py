@@ -66,7 +66,12 @@ def jittered_copy(mesh, amount, seed=0):
 
 
 def farthest_point_indices(mesh, count, start=0):
-    """Geodesic farthest-point sampling, seeded at ``start``."""
+    """Geodesic farthest-point sampling, seeded at ``start``.
+
+    Each new sample's search stops at its own distance to the samples
+    so far, the largest in ``dist``: a vertex beyond it could not lower
+    its entry, so the samples are those of unbounded searches.
+    """
     if count < 1 or count > mesh.n_vertices:
         raise ValueError("count out of range")
     chosen = [int(start)]
@@ -74,5 +79,5 @@ def farthest_point_indices(mesh, count, start=0):
     while len(chosen) < count:
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, geodesic_distances(mesh, [nxt])[0])
+        dist = np.minimum(dist, geodesic_distances(mesh, [nxt], limit=dist[nxt])[0])
     return np.asarray(chosen, dtype=np.int64)

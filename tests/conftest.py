@@ -18,6 +18,14 @@ def hull_mesh(rng, n, normalize=True):
     return mesh.normalized() if normalize else mesh
 
 
+def two_spheres(subdivisions=2):
+    """Two disjoint copies of an icosphere: a mesh with two components."""
+    sphere = icosphere(subdivisions)
+    n = sphere.n_vertices
+    return TriMesh(np.vstack([sphere.vertices, sphere.vertices + 3.0]),
+                   np.vstack([sphere.faces, sphere.faces + n]))
+
+
 def random_map(rng, mesh_src, mesh_tgt):
     return PointwiseMap(
         rng.integers(0, mesh_tgt.n_vertices, mesh_src.n_vertices), mesh_tgt.n_vertices

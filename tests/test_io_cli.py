@@ -1,5 +1,6 @@
 import gzip
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_map
 
+from smoothmatch import cli
 from smoothmatch import io as sm_io
 from smoothmatch.cli import _exit_code, main
 from smoothmatch.mesh import (
@@ -490,6 +492,28 @@ def test_refine_bad_ground_truth_fails_before_writing(fixture_dir, tmp_path, cap
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("lm_text, line", [
+    ("0 0\n5 9999\n", 2),          # past the target mesh
+    ("# src tgt\n-1 3\n4 4\n", 2),  # negative source index
+], ids=["past_target", "negative"])
+def test_refine_bad_landmarks_fail_before_the_bases(fixture_dir, tmp_path, capsys,
+                                                    lm_text, line):
+    lm = tmp_path / "lm.txt"
+    lm.write_text(lm_text)
+    out = tmp_path / "o"
+    with mock.patch.object(cli, "compute_basis") as basis:
+        code = main([
+            "refine", "--src", str(fixture_dir / "src.off"),
+            "--tgt", str(fixture_dir / "tgt.off"),
+            "--landmarks", str(lm), "--out", str(out),
+        ])
+    assert code == 2
+    assert "lm.txt:%d: index pair out of range [0, 162) x [0, 162)" % line \
+        in capsys.readouterr().err
+    basis.assert_not_called()
+    assert not out.exists()
 
 
 def test_singular_solve_is_solver_failure(capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import cot_weights_slow, dijkstra_slow
-from conftest import hull_mesh
+from conftest import hull_mesh, two_spheres
 
 from smoothmatch.mesh import (
     TriMesh,
@@ -15,7 +15,7 @@ from smoothmatch.mesh import (
     vertex_areas,
     write_off,
 )
-from smoothmatch.synth import icosphere
+from smoothmatch.synth import farthest_point_indices, icosphere
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +282,41 @@ def test_geodesic_disconnected_inf():
 def test_geodesic_bad_source(sphere2):
     with pytest.raises(ValueError):
         geodesic_distances(sphere2, [sphere2.n_vertices])
+
+
+@pytest.mark.parametrize("edges", [0.0, 1.5, 4.0, 9.0])
+def test_geodesic_limit_keeps_values_within_it(rng, edges):
+    mesh = hull_mesh(rng, 200)
+    limit = edges * mesh.edge_graph.data.mean()
+    sources = [0, 17, 101, 17]
+    full = geodesic_distances(mesh, sources)
+    bounded = geodesic_distances(mesh, sources, limit=limit)
+    expected = np.where(full <= limit, full, np.inf)
+    assert np.array_equal(bounded.view(np.int64), expected.view(np.int64))
+
+
+def test_edge_graph_is_cached(sphere2):
+    assert sphere2.edge_graph is sphere2.edge_graph
+    e = sphere2.edges
+    d = np.linalg.norm(sphere2.vertices[e[:, 0]] - sphere2.vertices[e[:, 1]], axis=1)
+    assert np.array_equal(np.asarray(sphere2.edge_graph[e[:, 0], e[:, 1]]).ravel(), d)
+
+
+def _farthest_points_unbounded(mesh, count, start=0):
+    chosen = [start]
+    dist = geodesic_distances(mesh, [start])[0]
+    while len(chosen) < count:
+        chosen.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, geodesic_distances(mesh, [chosen[-1]])[0])
+    return chosen
+
+
+@pytest.mark.parametrize("which", ["hull", "two_spheres"])
+def test_farthest_points_match_unbounded_sampling(rng, which):
+    mesh = hull_mesh(rng, 400) if which == "hull" else two_spheres()
+    for start in (0, 5):
+        got = farthest_point_indices(mesh, 40, start=start)
+        assert got.tolist() == _farthest_points_unbounded(mesh, 40, start=start)
 
 
 # ----------------------------------------------------------------------

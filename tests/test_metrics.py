@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from conftest import hull_mesh, random_map
+from conftest import hull_mesh, random_map, two_spheres
 from oracles import conformal_slow
 
+from smoothmatch import metrics, spectral
 from smoothmatch.energies import dirichlet_energy
 from smoothmatch.mesh import TriMesh, geodesic_distances
 from smoothmatch.metrics import (
@@ -125,6 +129,92 @@ def test_bijectivity_matches_bruteforce(rng):
     acc1 = np.mean([d1[pi_21.target_of[pi_12.target_of[p]], p] for p in range(m1.n_vertices)])
     acc2 = np.mean([d2[pi_12.target_of[pi_21.target_of[q]], q] for q in range(m2.n_vertices)])
     assert got == pytest.approx(100.0 * 0.5 * (acc1 + acc2), rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# distance lookup
+# ----------------------------------------------------------------------
+def traced_lookup(mesh, from_idx, to_idx):
+    """``_distance_lookup`` with the ``(sources, limit, block size)`` of
+    every Dijkstra call it made."""
+    calls = []
+
+    def spy(mesh, sources, limit=np.inf):
+        block = geodesic_distances(mesh, sources, limit=limit)
+        calls.append((np.asarray(sources), limit, block.size))
+        return block
+
+    with mock.patch.object(metrics, "geodesic_distances", spy):
+        d = metrics._distance_lookup(mesh, from_idx, to_idx)
+    return d, calls
+
+
+def assert_lookup_exact(mesh, from_idx, to_idx):
+    # bit-for-bit against one unbounded Dijkstra per distinct source,
+    # inf positions included
+    d, calls = traced_lookup(mesh, from_idx, to_idx)
+    uniq, inverse = np.unique(from_idx, return_inverse=True)
+    expected = geodesic_distances(mesh, uniq)[inverse, to_idx]
+    assert np.array_equal(d.view(np.int64), expected.view(np.int64))
+    for _, _, size in calls:
+        assert size <= max(spectral._CHUNK_PAIRS, mesh.n_vertices)
+    return calls
+
+
+def test_lookup_identity_runs_no_dijkstra(sphere2):
+    ident = np.arange(sphere2.n_vertices)
+    assert assert_lookup_exact(sphere2, ident, ident) == []
+
+
+def test_lookup_antipodal_doubles_the_limit():
+    sphere = icosphere(3)
+    anti = np.argmin(sphere.vertices @ sphere.vertices.T, axis=1)
+    calls = assert_lookup_exact(sphere, np.arange(sphere.n_vertices), anti)
+    limits = [limit for _, limit, _ in calls]
+    assert len(limits) >= 3
+    assert limits[1:] == [2.0 * limit for limit in limits[:-1]]
+    # every pass re-runs only sources with a pair still beyond the limit
+    assert all(len(a) >= len(b) for (a, _, _), (b, _, _) in zip(calls, calls[1:]))
+
+
+def test_lookup_random_map(rng):
+    mesh = hull_mesh(rng, 300)
+    from_idx = rng.integers(0, mesh.n_vertices, 700)
+    to_idx = rng.integers(0, mesh.n_vertices, 700)
+    to_idx[:50] = from_idx[:50]
+    assert_lookup_exact(mesh, from_idx, to_idx)
+
+
+def test_lookup_cross_component_pairs(rng):
+    mesh = two_spheres()
+    from_idx = rng.integers(0, mesh.n_vertices, 500)
+    to_idx = rng.integers(0, mesh.n_vertices, 500)
+    calls = assert_lookup_exact(mesh, from_idx, to_idx)
+    # sources whose every pair crosses components are never searched
+    half = mesh.n_vertices // 2
+    crossing = (from_idx < half) != (to_idx < half)
+    searched = np.concatenate([sources for sources, _, _ in calls])
+    assert not np.isin(searched, np.setdiff1d(from_idx[crossing], from_idx[~crossing])).any()
+
+
+def test_lookup_ends_on_non_finite_lengths(rng):
+    # a nan vertex makes the mean edge length, and so every bounded
+    # limit, nan; the lookup must still end, with the unbounded values
+    sphere = icosphere(2)
+    verts = sphere.vertices.copy()
+    verts[3] = np.nan
+    mesh = TriMesh(verts, sphere.faces)
+    assert_lookup_exact(mesh, rng.integers(0, mesh.n_vertices, 300),
+                        rng.integers(0, mesh.n_vertices, 300))
+
+
+def test_lookup_one_row_chunks(rng):
+    mesh = hull_mesh(rng, 120)
+    from_idx = rng.integers(0, mesh.n_vertices, 400)
+    to_idx = rng.integers(0, mesh.n_vertices, 400)
+    with mock.patch.object(spectral, "_CHUNK_PAIRS", mesh.n_vertices):
+        calls = assert_lookup_exact(mesh, from_idx, to_idx)
+    assert {len(sources) for sources, _, _ in calls} == {1}
 
 
 # ----------------------------------------------------------------------
@@ -290,10 +380,8 @@ def test_disconnected_meshes():
     # two disjoint spheres: a geodesic between components is inf, so
     # accuracy and bijectivity are inf exactly when a scored pair or a
     # round trip crosses components; the other metrics stay finite
-    sphere = icosphere(1)
-    n = sphere.n_vertices
-    mesh = TriMesh(np.vstack([sphere.vertices, sphere.vertices + 3.0]),
-                   np.vstack([sphere.faces, sphere.faces + n]))
+    mesh = two_spheres(1)
+    n = mesh.n_vertices // 2
     ident = identity_map(mesh)
     swap = PointwiseMap((np.arange(2 * n) + n) % (2 * n), 2 * n)
     gt = np.arange(2 * n)
@@ -308,3 +396,45 @@ def test_disconnected_meshes():
 
     assert accuracy_metric(ident, gt, gt, mesh) == 0.0
     assert bijectivity_metric(swap, swap, mesh, mesh) == 0.0
+
+
+# ----------------------------------------------------------------------
+# golden report bits
+# ----------------------------------------------------------------------
+def _noisy_hull_pair(seed):
+    # hull pair with maps that send each vertex near its own direction on
+    # the other sphere, 5 % of them to a random vertex instead; sparse
+    # ground truth is the nearest direction for every third source vertex
+    rng = np.random.default_rng(seed)
+    m1, m2 = hull_mesh(rng, 500), hull_mesh(rng, 560)
+
+    def directions(mesh):
+        return mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
+
+    def noisy(src, tgt):
+        moved = directions(src) + 0.15 * rng.normal(size=src.vertices.shape)
+        idx = cKDTree(directions(tgt)).query(moved)[1]
+        far = rng.random(src.n_vertices) < 0.05
+        idx[far] = rng.integers(0, tgt.n_vertices, int(far.sum()))
+        return PointwiseMap(idx, tgt.n_vertices)
+
+    pi_12, pi_21 = noisy(m1, m2), noisy(m2, m1)
+    gt_src = np.arange(0, m1.n_vertices, 3)
+    gt_tgt = cKDTree(directions(m2)).query(directions(m1)[gt_src])[1]
+    return pi_12, pi_21, m1, m2, gt_src, gt_tgt
+
+
+def test_report_golden_bits():
+    # every bit of the report is pinned: faster geodesic lookups must
+    # return the same floats, not merely close ones
+    report = compute_report(*_noisy_hull_pair(11), with_conformal=True)
+    got = {k: v if isinstance(v, int) else float.hex(float(v))
+           for k, v in vars(report).items()}
+    assert got == {
+        "accuracy": "0x1.fa716790331e3p+2",
+        "bijectivity": "0x1.63a43db88978dp+3",
+        "smoothness": "0x1.72a837d2a039cp+4",
+        "coverage": "0x1.e5b8428d8470fp+5",
+        "conformal": "0x1.4512e64aa1b74p+2",
+        "collapsed_faces": 143,
+    }
