@@ -112,16 +112,15 @@ def write_index_pairs(path, pairs):
     _savetxt(path, np.asarray(pairs, dtype=np.int64), fmt="%d")
 
 
-def read_index_pairs(path, sizes=None):
-    """``(L, 2)`` index pairs; with ``sizes=(n_src, n_tgt)`` an index
+def read_index_pairs(path, sizes):
+    """``(L, 2)`` index pairs; ``sizes=(n_src, n_tgt)``, and an index
     outside ``[0, n)`` in its column is rejected as ``path:line``."""
     rows = _content_lines(path)
     pairs = _table(path, rows, np.int64, None, "index pair")
     if pairs.shape[1] != 2:
         raise ValueError("%s: expected two indices per line" % path)
-    if sizes is not None:
-        _reject(path, ((pairs < 0) | (pairs >= sizes)).any(axis=1), rows[0],
-                "index pair out of range [0, %d) x [0, %d)" % tuple(sizes))
+    _reject(path, ((pairs < 0) | (pairs >= sizes)).any(axis=1), rows[0],
+            "index pair out of range [0, %d) x [0, %d)" % tuple(sizes))
     return pairs
 
 

@@ -14,7 +14,6 @@ inf when a round trip crosses them, and the other metrics stay finite.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from . import spectral
 from .energies import dirichlet_energy
@@ -22,9 +21,9 @@ from .mesh import geodesic_distances
 
 GEODESIC_SCALE = 100.0
 
-# the first bounded Dijkstra pass of a distance lookup reaches this many
-# mean edge lengths; each further pass doubles its reach
-_FIRST_LIMIT_EDGES = 4.0
+# the bounded Dijkstra passes of a distance lookup reach these many mean
+# edge lengths; a last, unbounded pass takes the pairs still beyond them
+_LIMIT_EDGES = (4.0, 8.0)
 
 
 @dataclass
@@ -57,46 +56,35 @@ class MetricsReport:
 def _distance_lookup(mesh, from_idx, to_idx):
     """Geodesic distances ``d(from_idx[t], to_idx[t])``, in the order given.
 
-    Pairs with equal ends are 0 and pairs across components are inf,
-    without a search.  The rest are read from bounded Dijkstra passes
-    over their distinct sources: the first pass stops at
-    ``_FIRST_LIMIT_EDGES`` mean edge lengths, and each further pass
-    doubles the limit and re-runs only the sources with a pair still
-    beyond it.  Values within a limit are the same floats as from an
-    unbounded search (see ``geodesic_distances``).  Sources run in
-    chunks whose distance blocks hold at most ``spectral._CHUNK_PAIRS``
-    entries, so memory is O(chunk * n) whatever the pair count.
+    Pairs with equal ends are 0 without a search.  The rest are read
+    from Dijkstra passes over their distinct sources: bounded passes at
+    ``_LIMIT_EDGES`` mean edge lengths, each re-running only the sources
+    with a pair still beyond the last limit, then one unbounded pass,
+    which leaves pairs across components inf.  Values within a limit
+    are the same floats as from an unbounded search (see
+    ``geodesic_distances``).  Sources run in chunks whose distance
+    blocks hold at most ``spectral._CHUNK_PAIRS`` entries, so memory is
+    O(chunk * n) whatever the pair count.
     """
     from_idx = np.asarray(from_idx, dtype=np.int64)
     to_idx = np.asarray(to_idx, dtype=np.int64)
-    graph = mesh.edge_graph
-    _, comp = csgraph.connected_components(graph, directed=False)
-    same = comp[from_idx] == comp[to_idx]
-    out = np.where(same, 0.0, np.inf)
-    todo = np.flatnonzero(same & (from_idx != to_idx))
+    out = np.zeros(from_idx.shape)
+    todo = np.flatnonzero(from_idx != to_idx)
     if not todo.size:
         return out
     # sorted by source, so each chunk of sources is one slice of the pairs
     todo = todo[np.argsort(from_idx[todo], kind="stable")]
     rows = max(1, spectral._CHUNK_PAIRS // mesh.n_vertices)
-    limit = _FIRST_LIMIT_EDGES * graph.data.mean()
-    # no path within a component is longer than all edges together; the
-    # unbounded pass this forces also ends the loop on non-finite lengths
-    longest = graph.data.sum()
-    while todo.size:
-        if not limit < longest:
-            limit = np.inf
+    edge = mesh.edge_graph.data.mean()
+    for limit in [e * edge for e in _LIMIT_EDGES] + [np.inf]:
         uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
-        found = np.zeros(todo.size, dtype=bool)
         for first in range(0, uniq.size, rows):
             lo, hi = np.searchsorted(inverse, [first, first + rows])
             pairs = todo[lo:hi]
             # one expression, so a block is freed before the next is built
             out[pairs] = geodesic_distances(mesh, uniq[first:first + rows], limit=limit)[
                 inverse[lo:hi] - first, to_idx[pairs]]
-            found[lo:hi] = np.isfinite(out[pairs]) | (limit == np.inf)
-        todo = todo[~found]
-        limit *= 2.0
+        todo = todo[~np.isfinite(out[todo])]
     return out
 
 
@@ -128,6 +116,9 @@ def accuracy_metric(pi, gt_src, gt_tgt, mesh_tgt):
     mesh_tgt : TriMesh
         Distances are measured on the target surface.
     """
+    if pi.n_tgt != mesh_tgt.n_vertices:
+        raise ValueError("map targets %d vertices, target mesh has %d"
+                         % (pi.n_tgt, mesh_tgt.n_vertices))
     gt_src, gt_tgt = checked_ground_truth(gt_src, gt_tgt, pi.n_src, mesh_tgt.n_vertices)
     mapped = pi.target_of[gt_src]
     d = _distance_lookup(mesh_tgt, mapped, gt_tgt)
@@ -136,6 +127,10 @@ def accuracy_metric(pi, gt_src, gt_tgt, mesh_tgt):
 
 def bijectivity_metric(pi_12, pi_21, mesh_1, mesh_2):
     """Mean geodesic round-trip error, symmetric over both compositions, x100."""
+    for pi, m_src, m_tgt in ((pi_12, mesh_1, mesh_2), (pi_21, mesh_2, mesh_1)):
+        if (pi.n_src, pi.n_tgt) != (m_src.n_vertices, m_tgt.n_vertices):
+            raise ValueError("a %d -> %d vertex map does not fit meshes of %d and %d vertices"
+                             % (pi.n_src, pi.n_tgt, m_src.n_vertices, m_tgt.n_vertices))
     r1 = pi_12.compose(pi_21).target_of          # mesh 1 -> mesh 1
     r2 = pi_21.compose(pi_12).target_of          # mesh 2 -> mesh 2
     d1 = _distance_lookup(mesh_1, r1, np.arange(mesh_1.n_vertices))

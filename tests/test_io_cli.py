@@ -53,7 +53,7 @@ def test_fmap_roundtrip(tmp_path_factory, c):
 def test_index_pairs_roundtrip(tmp_path_factory, pairs):
     path = tmp_path_factory.mktemp("pairs") / "pairs.txt"
     sm_io.write_index_pairs(path, pairs)
-    back = sm_io.read_index_pairs(path)
+    back = sm_io.read_index_pairs(path, (2**63, 2**63))
     assert back.shape == pairs.shape and back.tobytes() == pairs.tobytes()
 
 
@@ -120,7 +120,7 @@ def test_trace_csv_golden_bytes(tmp_path, rows, body, as_str):
 
 @pytest.mark.parametrize("reader, text, what", [
     (lambda p: sm_io.read_pointwise_map(p, 10), "1\n1.5\n", "pointwise map"),
-    (sm_io.read_index_pairs, "0 1\n2 1.5\n", "index pair"),
+    (lambda p: sm_io.read_index_pairs(p, (10, 10)), "0 1\n2 1.5\n", "index pair"),
     (sm_io.read_ground_truth, "0 1\n2 1.5\n", "ground-truth"),
 ], ids=["pointwise_map", "index_pairs", "ground_truth"])
 def test_integer_file_parse_error_names_file(tmp_path, reader, text, what):
@@ -168,7 +168,8 @@ def _valid_file(draw):
         return "map.txt", [row(index, 1) for _ in range(n)], 0, 0, (
             lambda p: sm_io.read_pointwise_map(p, n))
     if kind in ("pairs", "ground_truth"):
-        reader = sm_io.read_index_pairs if kind == "pairs" else sm_io.read_ground_truth
+        reader = ((lambda p: sm_io.read_index_pairs(p, (n, n))) if kind == "pairs"
+                  else sm_io.read_ground_truth)
         return kind + ".txt", [row(index, 2) for _ in range(n)], 0, 0, reader
     cols = draw(st.integers(2, 4))
     lines = ["%d %d" % (n, cols)] + [row(_FLOAT_TEXT, cols) for _ in range(n)]
@@ -244,7 +245,7 @@ def test_writers_write_plain_text_to_gz_names(tmp_path):
     assert sm_io.read_fmap(tmp_path / "fmap.txt.gz").tobytes() == c.tobytes()
     pairs = np.array([[0, 4], [3, 1]])
     sm_io.write_index_pairs(tmp_path / "pairs.txt.gz", pairs)
-    assert np.array_equal(sm_io.read_index_pairs(tmp_path / "pairs.txt.gz"), pairs)
+    assert np.array_equal(sm_io.read_index_pairs(tmp_path / "pairs.txt.gz", (4, 5)), pairs)
     trace = EnergyTrace()
     trace.append(**dict.fromkeys(EnergyTrace.COLUMNS, 1.0))
     trace.to_csv(tmp_path / "trace.csv.gz")
@@ -303,8 +304,8 @@ def test_synth_zero_jitter_identical_files(tmp_path):
 def test_synth_landmarks_are_farthest_point_sample(tmp_path):
     out = tmp_path / "fix2"
     assert main(["synth", "icosphere", "--subdiv", "2", "--out", str(out)]) == 0
-    pairs = sm_io.read_index_pairs(out / "lm5.txt")
     src = load_mesh(out / "src.off", normalize=False)
+    pairs = sm_io.read_index_pairs(out / "lm5.txt", (src.n_vertices, src.n_vertices))
     expected = farthest_point_indices(src, 5)
     assert np.array_equal(pairs[:, 0], expected)
     assert np.array_equal(pairs[:, 0], pairs[:, 1])

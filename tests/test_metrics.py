@@ -98,6 +98,18 @@ def test_accuracy_rejects_bad_ground_truth(sphere2, gt_src, gt_tgt):
         accuracy_metric(identity_map(sphere2), gt_src, gt_tgt, sphere2)
 
 
+def test_geodesic_metrics_reject_maps_that_do_not_fit(sphere2):
+    # a map onto more vertices than the mesh has names vertices the mesh
+    # lacks; both geodesic metrics raise ValueError before any lookup
+    n = sphere2.n_vertices
+    wide = PointwiseMap(np.full(n, n + 5), n + 10)
+    back = PointwiseMap(np.zeros(n + 10, dtype=np.int64), n)
+    with pytest.raises(ValueError, match="target mesh has"):
+        accuracy_metric(wide, np.arange(n), np.arange(n), sphere2)
+    with pytest.raises(ValueError, match="does not fit"):
+        bijectivity_metric(wide, back, sphere2, sphere2)
+
+
 def test_bijectivity_zero_for_inverse_permutations(rng):
     mesh = hull_mesh(rng, 40)
     perm = rng.permutation(mesh.n_vertices)
@@ -166,13 +178,12 @@ def test_lookup_identity_runs_no_dijkstra(sphere2):
     assert assert_lookup_exact(sphere2, ident, ident) == []
 
 
-def test_lookup_antipodal_doubles_the_limit():
+def test_lookup_antipodal_runs_every_pass():
     sphere = icosphere(3)
     anti = np.argmin(sphere.vertices @ sphere.vertices.T, axis=1)
     calls = assert_lookup_exact(sphere, np.arange(sphere.n_vertices), anti)
-    limits = [limit for _, limit, _ in calls]
-    assert len(limits) >= 3
-    assert limits[1:] == [2.0 * limit for limit in limits[:-1]]
+    edge = sphere.edge_graph.data.mean()
+    assert [limit for _, limit, _ in calls] == [4.0 * edge, 8.0 * edge, np.inf]
     # every pass re-runs only sources with a pair still beyond the limit
     assert all(len(a) >= len(b) for (a, _, _), (b, _, _) in zip(calls, calls[1:]))
 
@@ -190,16 +201,14 @@ def test_lookup_cross_component_pairs(rng):
     from_idx = rng.integers(0, mesh.n_vertices, 500)
     to_idx = rng.integers(0, mesh.n_vertices, 500)
     calls = assert_lookup_exact(mesh, from_idx, to_idx)
-    # sources whose every pair crosses components are never searched
-    half = mesh.n_vertices // 2
-    crossing = (from_idx < half) != (to_idx < half)
-    searched = np.concatenate([sources for sources, _, _ in calls])
-    assert not np.isin(searched, np.setdiff1d(from_idx[crossing], from_idx[~crossing])).any()
+    # a pair across components is beyond every bounded limit, so only
+    # the unbounded pass can leave it inf
+    assert calls[-1][1] == np.inf
 
 
 def test_lookup_ends_on_non_finite_lengths(rng):
     # a nan vertex makes the mean edge length, and so every bounded
-    # limit, nan; the lookup must still end, with the unbounded values
+    # limit, nan; the unbounded pass still gives the unbounded values
     sphere = icosphere(2)
     verts = sphere.vertices.copy()
     verts[3] = np.nan
