@@ -7,13 +7,16 @@
   line; a ground-truth file may alternatively be a full pointwise map.
 * Metrics: one-line CSV with a fixed header.
 
-Every reader parses its rows with one ``np.loadtxt`` call (``_table``)
-and names a row that does not parse as ``path:line``; every writer is
-one ``np.savetxt`` call into a file it opens itself, so every file is
-plain text whatever its name.
+Every reader parses its rows with one ``np.loadtxt`` pass over the open
+file (``_table``) and names a row that does not parse, or that holds an
+index out of range, as ``path:line``; line numbers are counted only on
+that error path.  Every writer is one ``np.savetxt`` call into a file it
+opens itself, so every file is plain text whatever its name.
 """
 
 import statistics
+import warnings
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -21,35 +24,60 @@ import numpy as np
 from .spectral import PointwiseMap
 
 
-def _content_lines(path):
-    """``(line numbers, texts)`` of the non-blank lines, ``#`` comments removed."""
-    with open(path, "r") as fh:
-        try:
-            texts = [raw.split("#", 1)[0].strip() for raw in fh]
-        except UnicodeDecodeError:
-            raise ValueError("%s: not a text file" % path) from None
+@contextmanager
+def _text(path):
+    """``path`` opened as text; bytes that do not decode raise ``path: not a text file``."""
+    try:
+        with open(path, "r") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ValueError("%s: not a text file" % path) from None
+
+
+def _content_lines(path, start=0, stop=None):
+    """``(line numbers, texts)`` of content lines ``start:stop``: the
+    non-blank lines, ``#`` comments removed.  Only the OBJ reader and the
+    error paths build these strings."""
+    with _text(path) as fh:
+        texts = [raw.split("#", 1)[0].strip() for raw in fh]
     lines = np.flatnonzero(np.fromiter(map(bool, texts), dtype=bool, count=len(texts))) + 1
-    return lines, list(filter(None, texts))
+    return lines[start:stop], list(filter(None, texts))[start:stop]
 
 
-def _table(path, rows, dtype, width, what):
-    """Parse ``rows = (line numbers, texts)`` into a 2-D array in one ``np.loadtxt`` call.
+def _next_content_line(fh):
+    """The next non-blank line of ``fh`` with its ``#`` comment removed; '' at the end."""
+    for raw in fh:
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            return text
+    return ""
+
+
+def _table(path, source, dtype, width, what, rows_of, max_rows=None):
+    """Parse ``source``, an open text file or a list of lines, into a 2-D
+    array in one ``np.loadtxt`` call.
 
     ``width=N`` reads the first N columns and ignores further tokens;
     ``width=None`` reads every column, and their count must not change.
-    A row that does not parse raises ``path:line: malformed <what> line``.
+    ``max_rows`` stops after that many rows and leaves an open file just
+    past them.  A row that does not parse raises ``path:line: malformed
+    <what> line``; only then is ``rows_of()``, the ``(line numbers,
+    texts)`` of these rows, built to find it.
     """
-    lines, texts = rows
-    if not texts:
-        # the shape np.loadtxt gives an empty file, without its warning
-        return np.empty((0, width or 1), dtype=dtype)
-    parse = partial(np.loadtxt, dtype=dtype, ndmin=2, comments=None,
+    parse = partial(np.loadtxt, dtype=dtype, ndmin=2, comments="#",
                     usecols=None if width is None else range(width))
     try:
-        return parse(texts)
+        with warnings.catch_warnings():
+            # an empty input, or blank lines among the first max_rows
+            warnings.simplefilter("ignore", UserWarning)
+            return parse(source, max_rows=max_rows)
+    except UnicodeDecodeError:
+        # a ValueError subclass; _text reports it as not a text file
+        raise
     except ValueError:
-        # only a failed parse pays for the row-by-row pass that names the line;
-        # with width=None the column count most rows share is the expected one
+        # the row-by-row pass that names the line; with width=None the
+        # column count most rows share is the expected one
+        lines, texts = rows_of()
         width = width or statistics.mode(len(t.split()) for t in texts)
         for lineno, text in zip(lines, texts):
             try:
@@ -61,11 +89,18 @@ def _table(path, rows, dtype, width, what):
         raise
 
 
-def _reject(path, bad, lines, message):
+def _read_table(path, dtype, what):
+    """Every row of a headerless text file, and the ``rows_of`` of ``_table``."""
+    rows_of = partial(_content_lines, path)
+    with _text(path) as fh:
+        return _table(path, fh, dtype, None, what, rows_of), rows_of
+
+
+def _reject(path, bad, rows_of, message):
     """Raise ``path:line: message`` for the first row flagged in ``bad``."""
     first = np.flatnonzero(bad)
     if first.size:
-        raise ValueError("%s:%d: %s" % (path, lines[first[0]], message))
+        raise ValueError("%s:%d: %s" % (path, rows_of()[0][first[0]], message))
 
 
 def _savetxt(path, values, **kwargs):
@@ -79,12 +114,11 @@ def write_pointwise_map(path, pi):
 
 
 def read_pointwise_map(path, n_tgt):
-    rows = _content_lines(path)
-    idx = _table(path, rows, np.int64, None, "pointwise map")
+    idx, rows_of = _read_table(path, np.int64, "pointwise map")
     if idx.shape[1] != 1:
         raise ValueError("%s: expected one index per line" % path)
     idx = idx.ravel()
-    _reject(path, (idx < 0) | (idx >= n_tgt), rows[0], "map entry out of range [0, %d)" % n_tgt)
+    _reject(path, (idx < 0) | (idx >= n_tgt), rows_of, "map entry out of range [0, %d)" % n_tgt)
     return PointwiseMap(idx, n_tgt)
 
 
@@ -94,13 +128,17 @@ def write_fmap(path, c):
 
 
 def read_fmap(path):
-    lines, texts = _content_lines(path)
-    header = _table(path, (lines[:1], texts[:1]), np.int64, None, "functional map header")
-    if header.shape != (1, 2):
-        raise ValueError("%s:%d: malformed functional map header"
-                         % (path, lines[0] if texts else 1))
-    rows, cols = header[0]
-    c = _table(path, (lines[1:], texts[1:]), np.float64, None, "functional map")
+    header_of = partial(_content_lines, path, 0, 1)
+    with _text(path) as fh:
+        header = _table(path, [_next_content_line(fh)], np.int64, None,
+                        "functional map header", header_of)
+        if header.shape != (1, 2):
+            lines = header_of()[0]
+            raise ValueError("%s:%d: malformed functional map header"
+                             % (path, lines[0] if lines.size else 1))
+        rows, cols = header[0]
+        c = _table(path, fh, np.float64, None, "functional map",
+                   partial(_content_lines, path, 1))
     if c.shape != (rows, cols):
         raise ValueError(
             "%s: header promises %dx%d, found %s" % (path, rows, cols, c.shape)
@@ -115,11 +153,10 @@ def write_index_pairs(path, pairs):
 def read_index_pairs(path, sizes):
     """``(L, 2)`` index pairs; ``sizes=(n_src, n_tgt)``, and an index
     outside ``[0, n)`` in its column is rejected as ``path:line``."""
-    rows = _content_lines(path)
-    pairs = _table(path, rows, np.int64, None, "index pair")
+    pairs, rows_of = _read_table(path, np.int64, "index pair")
     if pairs.shape[1] != 2:
         raise ValueError("%s: expected two indices per line" % path)
-    _reject(path, ((pairs < 0) | (pairs >= sizes)).any(axis=1), rows[0],
+    _reject(path, ((pairs < 0) | (pairs >= sizes)).any(axis=1), rows_of,
             "index pair out of range [0, %d) x [0, %d)" % tuple(sizes))
     return pairs
 
@@ -130,7 +167,7 @@ def read_ground_truth(path):
     Accepts either the sparse two-column pair format or a full
     pointwise-map file (one target index per line).
     """
-    data = _table(path, _content_lines(path), np.int64, None, "ground-truth")
+    data, _ = _read_table(path, np.int64, "ground-truth")
     if data.shape[1] == 2:
         return data[:, 0], data[:, 1]
     if data.shape[1] == 1:

@@ -15,13 +15,13 @@ Conventions used throughout the package:
 """
 
 import warnings
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .io import _content_lines, _reject, _table
+from .io import _content_lines, _next_content_line, _reject, _table, _text
 
 # cotangents beyond this threshold come from numerically degenerate
 # triangles; clamping keeps W assembly finite and effectively PSD
@@ -253,44 +253,49 @@ def load_mesh(path, normalize=True):
     return mesh.normalized() if normalize else mesh
 
 
-def _checked(path, verts, vertex_lines, faces, face_lines):
-    # one vectorized pass after parsing
-    _reject(path, ~np.isfinite(verts).all(axis=1), vertex_lines, "non-finite vertex coordinate")
-    _reject(path, ((faces < 0) | (faces >= len(verts))).any(axis=1), face_lines,
+def _checked(path, verts, vertex_rows, faces, face_rows):
+    # one vectorized pass after parsing; the *_rows are the rows_of of io._table
+    _reject(path, ~np.isfinite(verts).all(axis=1), vertex_rows, "non-finite vertex coordinate")
+    _reject(path, ((faces < 0) | (faces >= len(verts))).any(axis=1), face_rows,
             "face index out of range")
-    _reject(path, (faces == np.roll(faces, 1, axis=1)).any(axis=1), face_lines,
+    _reject(path, (faces == np.roll(faces, 1, axis=1)).any(axis=1), face_rows,
             "degenerate face (repeated vertex index)")
     return verts, faces
 
 
 def read_off(path):
     """Parse an ASCII OFF file, returning ``(vertices, faces)``."""
-    lines, texts = _content_lines(path)
-
-    def rows(start, count, what):
-        if len(texts) < start + count:
-            raise ValueError("%s: unexpected end of file while reading %s" % (path, what))
-        return lines[start:start + count], texts[start:start + count]
-
-    header = rows(0, 1, "header")[1][0]
-    if header == "OFF":
-        start, counts = 2, rows(1, 1, "counts")
-    elif header.startswith("OFF"):
-        start, counts = 1, (lines[:1], [header[3:]])
-    else:
-        raise ValueError("%s:%d: not an OFF file" % (path, lines[0]))
-    (n_verts, n_faces), = _table(path, counts, np.int64, 2, "counts")
-    if n_verts < 0 or n_faces < 0:
-        raise ValueError("%s:%d: malformed counts line" % (path, counts[0][0]))
-    vertex_rows = rows(start, n_verts, "vertices")
-    face_rows = rows(start + n_verts, n_faces, "faces")
-    verts = _table(path, vertex_rows, np.float64, 3, "vertex")
-    faces = _table(path, face_rows, np.int64, 4, "face")
+    rows = partial(_content_lines, path)
+    with _text(path) as fh:
+        header = _next_content_line(fh)
+        if not header:
+            raise ValueError("%s: unexpected end of file while reading header" % path)
+        if header == "OFF":
+            start, counts = 2, _next_content_line(fh)
+            if not counts:
+                raise ValueError("%s: unexpected end of file while reading counts" % path)
+        elif header.startswith("OFF"):
+            start, counts = 1, header[3:]
+        else:
+            raise ValueError("%s:%d: not an OFF file" % (path, rows(0, 1)[0][0]))
+        counts_rows = partial(rows, start - 1, start)
+        (n_verts, n_faces), = _table(path, [counts], np.int64, 2, "counts", counts_rows)
+        if n_verts < 0 or n_faces < 0:
+            raise ValueError("%s:%d: malformed counts line" % (path, counts_rows()[0][0]))
+        end = start + n_verts
+        vertex_rows = partial(rows, start, end)
+        face_rows = partial(rows, end, end + n_faces)
+        verts = _table(path, fh, np.float64, 3, "vertex", vertex_rows, max_rows=n_verts)
+        if len(verts) < n_verts:
+            raise ValueError("%s: unexpected end of file while reading vertices" % path)
+        faces = _table(path, fh, np.int64, 4, "face", face_rows, max_rows=n_faces)
+        if len(faces) < n_faces:
+            raise ValueError("%s: unexpected end of file while reading faces" % path)
     bad = np.flatnonzero(faces[:, 0] != 3)
     if bad.size:
         raise ValueError("%s:%d: non-triangular face (%d vertices)"
-                         % (path, face_rows[0][bad[0]], faces[bad[0], 0]))
-    return _checked(path, verts, vertex_rows[0], faces[:, 1:], face_rows[0])
+                         % (path, face_rows()[0][bad[0]], faces[bad[0], 0]))
+    return _checked(path, verts, vertex_rows, faces[:, 1:], face_rows)
 
 
 def read_obj(path):
@@ -314,10 +319,11 @@ def read_obj(path):
             face_rows[1].append(" ".join(idx))
     if not vertex_rows[0]:
         raise ValueError("%s: no vertices found" % path)
-    verts = _table(path, vertex_rows, np.float64, 3, "vertex")
-    faces = _table(path, face_rows, np.int64, 3, "face")
-    _reject(path, (faces < 1).any(axis=1), face_rows[0], "OBJ indices must be positive")
-    return _checked(path, verts, vertex_rows[0], faces - 1, face_rows[0])
+    vertex_rows_of, face_rows_of = (lambda: vertex_rows), (lambda: face_rows)
+    verts = _table(path, vertex_rows[1], np.float64, 3, "vertex", vertex_rows_of)
+    faces = _table(path, face_rows[1], np.int64, 3, "face", face_rows_of)
+    _reject(path, (faces < 1).any(axis=1), face_rows_of, "OBJ indices must be positive")
+    return _checked(path, verts, vertex_rows_of, faces - 1, face_rows_of)
 
 
 def write_off(mesh, path):

@@ -24,8 +24,10 @@ from scipy.spatial.distance import cdist
 _DENSE_EIGEN_LIMIT = 400
 
 # nearest-neighbour queries run in blocks of query rows sized so that a
-# block's distance matrix holds about this many entries (32 MB of
-# float64), which bounds transient memory whatever the query count
+# block's score matrix holds about this many entries: 32 MB of float64
+# plus its 4 MB boolean candidate mask are live at once, whatever the
+# query count.  The geodesic lookup in ``metrics`` sizes its Dijkstra
+# blocks by the same entry count.
 _CHUNK_PAIRS = 4_000_000
 
 
@@ -201,8 +203,10 @@ def fmap_to_p2p(c, basis_src, basis_tgt):
 def nearest_rows(queries, data):
     """Index of the Euclidean-nearest data row for every query row.
 
-    Exact brute force: ``cdist(block, data).argmin(axis=1)`` over blocks
-    of query rows, so ties break to the smallest data index.
+    Returns exactly ``cdist(queries, data).argmin(axis=1)``, so ties
+    break to the smallest data index, from one GEMM screen per block of
+    query rows plus a ``cdist`` re-score of the rows the screen cannot
+    decide.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -211,9 +215,50 @@ def nearest_rows(queries, data):
     if queries.shape[1] != data.shape[1]:
         raise ValueError("dimension mismatch: %d vs %d" % (queries.shape[1], data.shape[1]))
 
-    chunk_rows = max(1, _CHUNK_PAIRS // data.shape[0])
+    # Screen with s_j = |x_j|^2 - 2 q.x_j, which is |q - x_j|^2 - |q|^2.
+    # With u = eps/2 and gamma_d = d u / (1 - d u), a computed dot product
+    # is off by at most gamma_d |q| |x| under any summation order,
+    # blocking, FMA or BLAS thread count, and |x|^2 by at most
+    # gamma_d |x|^2; so each s_j is within about 2 (d+1) u (|q|^2 + max
+    # |x|^2) of its exact value.  cdist sums (q_k - x_k)^2 in one pass and
+    # takes a square root, a relative error of O(d u) on a value at most
+    # 2 (|q|^2 + |x|^2).  Every row whose cdist value equals the row's
+    # cdist minimum thus has an s_j within about 8 (d+4) u (|q|^2 + max
+    # |x|^2) of the screened minimum.  The margin, 16 (d+4) eps times the
+    # same norms, is four times that, plus an absolute term for products
+    # that underflow to subnormals; every row within it is a candidate.
+    # cdist gives a pair the same float whichever rows and columns it is
+    # passed with, so re-scoring the candidates, ascending, with cdist
+    # reproduces its full argmin, ties included.  A query with a single
+    # candidate takes it.  A NaN score leaves a query no candidate, and
+    # it is re-scored against every row; an infinite margin makes every
+    # row a candidate.
+    n, d = data.shape
+    finfo = np.finfo(np.float64)
+    chunk_rows = max(1, _CHUNK_PAIRS // n)
     out = np.empty(queries.shape[0], dtype=np.int64)
-    for start in range(0, queries.shape[0], chunk_rows):
-        block = queries[start : start + chunk_rows]
-        out[start : start + chunk_rows] = cdist(block, data).argmin(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sq_data = np.einsum("ij,ij->i", data, data)
+        sq_query = np.einsum("ij,ij->i", queries, queries)
+        margin = 16.0 * (d + 4) * (finfo.eps * (sq_query + sq_data.max())
+                                   + finfo.smallest_subnormal)
+        for start in range(0, queries.shape[0], chunk_rows):
+            rows = slice(start, start + chunk_rows)
+            out[rows] = _nearest_in_block(queries[rows], data, sq_data, margin[rows])
     return out
+
+
+def _nearest_in_block(block, data, sq_data, margin):
+    # the screen and re-score of nearest_rows for one block of queries;
+    # the score block and its mask are freed on return, before the next
+    # block's are allocated
+    score = block @ data.T
+    score *= -2.0
+    score += sq_data
+    best = score.argmin(axis=1)
+    bound = score[np.arange(best.size), best] + margin
+    mask = score <= bound[:, None]
+    for r in np.flatnonzero(mask.sum(axis=1) != 1):
+        cand = np.flatnonzero(mask[r]) if mask[r].any() else np.arange(data.shape[0])
+        best[r] = cand[cdist(block[r : r + 1], data[cand]).argmin()]
+    return best

@@ -204,6 +204,23 @@ def test_malformed_line_is_named(tmp_path_factory, spec, data):
         reader(path)
 
 
+def test_valid_files_build_no_line_table(tmp_path):
+    # line numbers are counted only to name a bad line
+    write_off(icosphere(1), tmp_path / "m.off")
+    sm_io.write_pointwise_map(tmp_path / "map.txt", PointwiseMap([2, 0, 1], 3))
+    sm_io.write_fmap(tmp_path / "fmap.txt", np.eye(2))
+    sm_io.write_index_pairs(tmp_path / "pairs.txt", [[0, 1], [2, 2]])
+    unused = mock.Mock(side_effect=AssertionError("line table built"))
+    with mock.patch.object(sm_io, "_content_lines", unused), \
+            mock.patch("smoothmatch.mesh._content_lines", unused):
+        assert read_off(tmp_path / "m.off")[0].shape == (42, 3)
+        assert sm_io.read_pointwise_map(tmp_path / "map.txt", 3).n_src == 3
+        assert sm_io.read_fmap(tmp_path / "fmap.txt").shape == (2, 2)
+        assert sm_io.read_index_pairs(tmp_path / "pairs.txt", (3, 3)).shape == (2, 2)
+        assert sm_io.read_ground_truth(tmp_path / "map.txt")[1].tolist() == [2, 0, 1]
+    unused.assert_not_called()
+
+
 def test_eval_malformed_map_exits_2(fixture_dir, tmp_path, capsys):
     n = load_mesh(fixture_dir / "tgt.off").n_vertices
     lines = ["%d" % i for i in range(n)]

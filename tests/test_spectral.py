@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ from oracles import nearest_rows_slow, dense_pi
 from conftest import hull_mesh, random_map
 
 from smoothmatch import spectral
+from smoothmatch.synth import icosphere
 from smoothmatch.spectral import (
     PointwiseMap,
     compute_basis,
@@ -248,6 +253,115 @@ def test_nearest_equals_cdist_argmin(case):
         equal = np.flatnonzero((data == q).all(axis=1))
         if equal.size:
             assert j == equal[0]
+
+
+def _assert_cdist_argmin(queries, data, block_rows=3):
+    # whole-call and few-row blocks both give cdist's argmin
+    expected = cdist(queries, data).argmin(axis=1)
+    assert np.array_equal(nearest_rows(queries, data), expected)
+    with mock.patch.object(spectral, "_CHUNK_PAIRS", block_rows * data.shape[0]):
+        assert np.array_equal(nearest_rows(queries, data), expected)
+
+
+def _midpoints(rng, data, count):
+    i, j = rng.integers(0, data.shape[0], size=(2, count))
+    return (data[i] + data[j]) / 2.0
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda x: np.nextafter(x, np.inf),
+    lambda x: x * (1.0 + 1e-15),
+], ids=["one_ulp", "relative_1e-15"])
+def test_nearest_perturbed_copies_at_midpoints(perturb):
+    # every data row has a copy a rounding error away; queries sit halfway
+    rng = np.random.default_rng(1)
+    base = rng.normal(size=(60, 7))
+    data = np.vstack([base, perturb(base)])[rng.permutation(120)]
+    queries = np.vstack([(base + perturb(base)) / 2.0, base, perturb(base)])
+    _assert_cdist_argmin(queries, data)
+
+
+def test_nearest_midpoints_of_data_rows():
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(200, 11))
+    _assert_cdist_argmin(_midpoints(rng, data, 300), data)
+
+
+def test_nearest_common_offset_far_beyond_spread():
+    # |q|^2 and |x|^2 dwarf the squared distances, so the margin admits
+    # many candidates and the cdist re-score decides
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(150, 4)) + 1e6
+    queries = np.vstack([_midpoints(rng, data, 100), rng.normal(size=(50, 4)) + 1e6])
+    _assert_cdist_argmin(queries, data)
+
+
+@pytest.mark.parametrize("dim", [3, 23, 103])
+@pytest.mark.parametrize("scale", [1e-8, 1e8, 1e-160])
+def test_nearest_extreme_scales(scale, dim):
+    # at 1e-160 the products underflow to subnormals, and the margin's
+    # absolute term is what keeps the nearest rows among the candidates
+    rng = np.random.default_rng(dim)
+    data = scale * rng.normal(size=(150, dim))
+    data[75:] = np.nextafter(data[:75], np.inf)
+    queries = np.vstack([_midpoints(rng, data, 100), scale * rng.normal(size=(50, dim))])
+    _assert_cdist_argmin(queries, data)
+
+
+def test_nearest_sphere_centre_ties_every_row():
+    # the origin is equidistant from every icosphere vertex up to rounding,
+    # so every row is a candidate and the cdist re-score picks the answer
+    data = icosphere(4).vertices
+    queries = np.zeros((5, 3))
+    with mock.patch.object(spectral, "cdist", wraps=cdist) as rescore:
+        _assert_cdist_argmin(queries, data)
+    assert rescore.call_count == 2 * len(queries)
+
+
+def test_nearest_non_finite_query_rows():
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(30, 3))
+    data[0] = -1.0      # an infinite coordinate screens row 0 at +inf, not -inf
+    queries = rng.normal(size=(8, 3))
+    queries[1, 0] = np.nan
+    queries[4, 2] = np.inf
+    queries[6] = -np.inf
+    _assert_cdist_argmin(queries, data)
+
+
+_THREAD_CASE = """
+import sys
+import numpy as np
+from smoothmatch.spectral import nearest_rows
+
+rng = np.random.default_rng(43)
+data = rng.normal(size=(3000, 43))
+data[2000:2500] = np.nextafter(data[:500], np.inf)
+pairs = rng.integers(0, 3000, size=(2, 1500))
+queries = np.vstack([(data[pairs[0]] + data[pairs[1]]) / 2.0,
+                     (data[:500] + data[2000:2500]) / 2.0,
+                     rng.normal(size=(1000, 43))])
+np.save(sys.argv[1], queries)
+np.save(sys.argv[2], data)
+np.save(sys.argv[3], nearest_rows(queries, data))
+"""
+
+
+def test_nearest_independent_of_blas_threads(tmp_path):
+    # the GEMM screen runs on BLAS threads; under one thread and under two
+    # the result is cdist's argmin
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        files = [tmp_path / ("%s-%s.npy" % (name, threads)) for name in ("q", "x", "idx")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", _THREAD_CASE, *map(str, files)],
+                       env=env, check=True)
+        queries, data, idx = (np.load(f) for f in files)
+        outputs.append(idx)
+    expected = cdist(queries, data).argmin(axis=1)
+    assert all(np.array_equal(idx, expected) for idx in outputs)
 
 
 def test_nearest_errors(rng):
