@@ -24,10 +24,10 @@ from scipy.spatial.distance import cdist
 _DENSE_EIGEN_LIMIT = 400
 
 # nearest-neighbour queries run in blocks of query rows sized so that a
-# block's score matrix holds about this many entries: 32 MB of float64
-# plus its 4 MB boolean candidate mask are live at once, whatever the
-# query count.  The geodesic lookup in ``metrics`` sizes its Dijkstra
-# blocks by the same entry count.
+# block's score matrix holds about this many entries: 16 MB of float32
+# scores are live at once, whatever the query count, and a candidate
+# mask is built only for each re-scored row.  The geodesic lookup in
+# ``metrics`` sizes its Dijkstra blocks by the same entry count.
 _CHUNK_PAIRS = 4_000_000
 
 
@@ -204,9 +204,9 @@ def nearest_rows(queries, data):
     """Index of the Euclidean-nearest data row for every query row.
 
     Returns exactly ``cdist(queries, data).argmin(axis=1)``, so ties
-    break to the smallest data index, from one GEMM screen per block of
-    query rows plus a ``cdist`` re-score of the rows the screen cannot
-    decide.
+    break to the smallest data index, from one float32 GEMM screen per
+    block of query rows plus a ``cdist`` re-score of the rows the screen
+    cannot decide.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
@@ -215,50 +215,69 @@ def nearest_rows(queries, data):
     if queries.shape[1] != data.shape[1]:
         raise ValueError("dimension mismatch: %d vs %d" % (queries.shape[1], data.shape[1]))
 
-    # Screen with s_j = |x_j|^2 - 2 q.x_j, which is |q - x_j|^2 - |q|^2.
-    # With u = eps/2 and gamma_d = d u / (1 - d u), a computed dot product
-    # is off by at most gamma_d |q| |x| under any summation order,
-    # blocking, FMA or BLAS thread count, and |x|^2 by at most
-    # gamma_d |x|^2; so each s_j is within about 2 (d+1) u (|q|^2 + max
-    # |x|^2) of its exact value.  cdist sums (q_k - x_k)^2 in one pass and
-    # takes a square root, a relative error of O(d u) on a value at most
-    # 2 (|q|^2 + |x|^2).  Every row whose cdist value equals the row's
-    # cdist minimum thus has an s_j within about 8 (d+4) u (|q|^2 + max
-    # |x|^2) of the screened minimum.  The margin, 16 (d+4) eps times the
-    # same norms, is four times that, plus an absolute term for products
-    # that underflow to subnormals; every row within it is a candidate.
-    # cdist gives a pair the same float whichever rows and columns it is
-    # passed with, so re-scoring the candidates, ascending, with cdist
-    # reproduces its full argmin, ties included.  A query with a single
-    # candidate takes it.  A NaN score leaves a query no candidate, and
-    # it is re-scored against every row; an infinite margin makes every
-    # row a candidate.
+    # Screen with s_j = [q, 1] . [-2 x_j, |x_j|^2] = |q - x_j|^2 - |q|^2,
+    # one float32 product.  Let u = 2^-24 be float32's unit roundoff and
+    # S = |q|^2 + max |x|^2.  Rounding q and x to float32 moves each
+    # product q_k (-2 x_k) by at most (2u + u^2) |q_k| |2 x_k|, and
+    # rounding |x|^2 moves the last term by at most u |x|^2; as
+    # 2 |q_k| |x_k| <= q_k^2 + x_k^2 these sum to about 3 u S.  The
+    # (d+1)-term float32 GEMM is off by at most gamma_{d+1} sum |a_k b_k|
+    # <= 2 (d+1) u S under any summation order, blocking, FMA or BLAS
+    # thread count.  So each s_j is within about 2 (d+4) u S of its exact
+    # value.  cdist sums (q_k - x_k)^2 in float64 and takes a square
+    # root, an error of O(d eps64 S), far below u S.  A row whose cdist
+    # value equals the cdist minimum thus has a score within about
+    # 4 (d+4) u S of the screened minimum.  The margin, 16 (d+5) eps32 S
+    # = 32 (d+5) u S, is more than four times that; its absolute term
+    # covers operands, products and sums that underflow float32.  For
+    # S <= 2^100 every float32 operand, product and sum is finite; above
+    # it, or for a non-finite S, the margin is infinite and cdist decides.
+    # The inputs are not rescaled into float32's range: where cdist itself
+    # overflows or underflows into ties, only cdist reproduces its argmin.
+    # A row is decided when its second-smallest score lies beyond the
+    # margin, so that the screened minimum is its only candidate; a NaN
+    # fails the test.  Every other row keeps the rows within the margin as
+    # candidates (every row when that leaves none) and re-scores them,
+    # ascending, with cdist, which gives a pair the same float whichever
+    # rows and columns it is passed with, so its full argmin is
+    # reproduced, ties included.
     n, d = data.shape
-    finfo = np.finfo(np.float64)
+    f32 = np.finfo(np.float32)
     chunk_rows = max(1, _CHUNK_PAIRS // n)
     out = np.empty(queries.shape[0], dtype=np.int64)
     with np.errstate(invalid="ignore", over="ignore"):
         sq_data = np.einsum("ij,ij->i", data, data)
         sq_query = np.einsum("ij,ij->i", queries, queries)
-        margin = 16.0 * (d + 4) * (finfo.eps * (sq_query + sq_data.max())
-                                   + finfo.smallest_subnormal)
+        norms = sq_query + sq_data.max()
+        margin = 16.0 * (d + 5) * (float(f32.eps) * norms + float(f32.tiny))
+        margin[~(norms <= 2.0**100)] = np.inf
+        screen_data = np.empty((d + 1, n), dtype=np.float32)
+        screen_data[:d] = -2.0 * data.T
+        screen_data[d] = sq_data
+        screen_queries = np.ones((queries.shape[0], d + 1), dtype=np.float32)
+        screen_queries[:, :d] = queries
         for start in range(0, queries.shape[0], chunk_rows):
             rows = slice(start, start + chunk_rows)
-            out[rows] = _nearest_in_block(queries[rows], data, sq_data, margin[rows])
+            out[rows] = _nearest_in_block(screen_queries[rows], screen_data,
+                                          queries[rows], data, margin[rows])
     return out
 
 
-def _nearest_in_block(block, data, sq_data, margin):
+def _nearest_in_block(screen_block, screen_data, block, data, margin):
     # the screen and re-score of nearest_rows for one block of queries;
-    # the score block and its mask are freed on return, before the next
-    # block's are allocated
-    score = block @ data.T
-    score *= -2.0
-    score += sq_data
+    # the score block is freed on return, before the next block's is
+    # allocated
+    score = screen_block @ screen_data
     best = score.argmin(axis=1)
-    bound = score[np.arange(best.size), best] + margin
-    mask = score <= bound[:, None]
-    for r in np.flatnonzero(mask.sum(axis=1) != 1):
-        cand = np.flatnonzero(mask[r]) if mask[r].any() else np.arange(data.shape[0])
-        best[r] = cand[cdist(block[r : r + 1], data[cand]).argmin()]
+    r = np.arange(best.size)
+    lowest = score[r, best]
+    score[r, best] = np.inf
+    second = score.min(axis=1)
+    score[r, best] = lowest
+    bound = lowest + margin
+    for i in np.flatnonzero(~(second > bound)):
+        cand = np.flatnonzero(score[i] <= bound[i])
+        if cand.size == 0:
+            cand = np.arange(data.shape[0])
+        best[i] = cand[cdist(block[i : i + 1], data[cand]).argmin()]
     return best

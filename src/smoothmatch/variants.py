@@ -13,7 +13,6 @@ centroid rows, ARAP pins the centroid of the solution, and nICP returns
 identity transforms.
 """
 
-import logging
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ from scipy import sparse
 from scipy.sparse.linalg import lsqr, splu
 
 from .energies import a_norm_sq, dirichlet_energy
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -57,16 +54,13 @@ class Variant:
 
 
 def prefactored(mat):
-    """Sparse LU factorization returned as a multi-RHS solve callable."""
-    mat = sparse.csc_matrix(mat)
-    try:
-        lu = splu(mat)
-    except RuntimeError:
-        # exactly singular: tiny ridge, flagged (should not happen for
-        # beta > 0 with a PSD stiffness matrix)
-        logger.warning("singular Y-step system, retrying with 1e-10 ridge")
-        scale = float(np.abs(mat.diagonal()).mean()) or 1.0
-        lu = splu((mat + 1e-10 * scale * sparse.identity(mat.shape[0], format="csc")).tocsc())
+    """Sparse LU factorization returned as a multi-RHS solve callable.
+
+    An exactly singular matrix raises ``splu``'s ``RuntimeError``, which
+    the CLI reports as a solver error; the Y-step systems are positive
+    definite for ``beta > 0``.
+    """
+    lu = splu(sparse.csc_matrix(mat))
     return lambda rhs: lu.solve(np.asarray(rhs, dtype=np.float64))
 
 

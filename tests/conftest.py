@@ -26,6 +26,17 @@ def two_spheres(subdivisions=2):
                    np.vstack([sphere.faces, sphere.faces + n]))
 
 
+def jittered_icosphere(subdivisions=3, edges=0.25, seed=0):
+    """An icosphere and a copy whose vertices carry seeded Gaussian noise
+    of ``edges`` mean edge lengths, on the same faces."""
+    sphere = icosphere(subdivisions)
+    e = sphere.edges
+    sigma = edges * np.linalg.norm(sphere.vertices[e[:, 0]] - sphere.vertices[e[:, 1]],
+                                   axis=1).mean()
+    noise = np.random.default_rng(seed).normal(scale=sigma, size=sphere.vertices.shape)
+    return sphere, TriMesh(sphere.vertices + noise, sphere.faces)
+
+
 def random_map(rng, mesh_src, mesh_tgt):
     return PointwiseMap(
         rng.integers(0, mesh_tgt.n_vertices, mesh_src.n_vertices), mesh_tgt.n_vertices

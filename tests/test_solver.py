@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from oracles import c_step_slow, pi_step_exact_slow
-from conftest import hull_mesh, random_map
+from conftest import hull_mesh, jittered_icosphere, random_map
 
 from smoothmatch.energies import EnergyWeights, bijectivity_energy, coupling_energy
 from smoothmatch.solver import (
@@ -13,6 +16,7 @@ from smoothmatch.solver import (
     pi_step,
     refine,
 )
+from smoothmatch import solver, spectral
 from smoothmatch.spectral import PointwiseMap, compute_basis, fmap_to_p2p
 from smoothmatch.synth import farthest_point_indices, icosphere
 from smoothmatch.variants import VARIANT_KINDS, Variant
@@ -368,3 +372,26 @@ def test_refine_open_boundary_meshes(rng):
     f_12, f_21, trace = refine(pi_12, pi_21, m1, m2, b1, b2, cfg)
     assert len(trace) >= 1
     assert np.all(f_12.target_of >= 0) and np.all(f_12.target_of < m2.n_vertices)
+
+
+def test_refine_nearest_rows_calls_equal_cdist_argmin():
+    # every nearest-neighbour query of a landmark init plus a default
+    # refine, recorded as the solver makes it, equals cdist's argmin
+    m1, m2 = jittered_icosphere(3, 0.25, seed=7)
+    b1, b2 = compute_basis(m1, 100), compute_basis(m2, 100)
+    nearest = spectral.nearest_rows
+    calls = []
+
+    def record(queries, data):
+        out = nearest(queries, data)
+        calls.append((queries, data, out))
+        return out
+
+    lm = farthest_point_indices(m1, 5)
+    with mock.patch.object(solver, "nearest_rows", side_effect=record), \
+            mock.patch.object(spectral, "nearest_rows", side_effect=record):
+        pi_12, pi_21 = landmark_init(np.column_stack([lm, lm]), b1, b2)
+        refine(pi_12, pi_21, m1, m2, b1, b2)
+    assert len(calls) == 2 + 2 * SolverConfig().n_outer
+    for queries, data, out in calls:
+        assert np.array_equal(out, cdist(queries, data).argmin(axis=1))

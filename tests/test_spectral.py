@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from oracles import nearest_rows_slow, dense_pi
-from conftest import hull_mesh, random_map
+from conftest import hull_mesh, jittered_icosphere, random_map
 
 from smoothmatch import spectral
 from smoothmatch.synth import icosphere
@@ -327,6 +327,51 @@ def test_nearest_non_finite_query_rows():
     queries[4, 2] = np.inf
     queries[6] = -np.inf
     _assert_cdist_argmin(queries, data)
+
+
+@pytest.mark.parametrize("dim", [5, 43])
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e-22, 1e-20, 1e20, 1e154, 1e300])
+def test_nearest_uniform_scales(scale, dim):
+    # beyond 1e154 and below 1e-170 cdist's own squares overflow to inf or
+    # underflow to 0 and tie, so only cdist reproduces its argmin there;
+    # 1e-22 to 1e20 leave float32's normal range but not float64's, and
+    # at 1e-22 the screened products are float32 subnormals
+    rng = np.random.default_rng(dim)
+    data = scale * rng.normal(size=(150, dim))
+    queries = np.vstack([_midpoints(rng, data, 50), scale * rng.normal(size=(50, dim))])
+    _assert_cdist_argmin(queries, data)
+
+
+def test_nearest_queries_beyond_float32_range():
+    # a coordinate of 1e39 is inf in float32: the first query screens row
+    # 17 at -inf and every other row at +inf, while cdist ties all rows
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=(30, 3))
+    data[:, 0] = -np.abs(data[:, 0]) - 0.1
+    data[17, 0] = 1.0
+    queries = np.vstack([[1e39, 0.0, 0.0], 1e39 * rng.normal(size=(5, 3)),
+                         1e20 * rng.normal(size=(5, 3))])
+    _assert_cdist_argmin(queries, data)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nearest_non_finite_data_row(value):
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(30, 4))
+    data[7, 2] = value
+    queries = np.vstack([rng.normal(size=(10, 4)), data[5:9]])
+    _assert_cdist_argmin(queries, data)
+
+
+def test_nearest_screen_decides_most_rows():
+    # an exact margin that admitted many candidates would re-score most
+    # rows with cdist; on a jittered sphere nearly every row has one
+    data, jittered = jittered_icosphere(3, 0.25, seed=7)
+    queries = jittered.vertices
+    with mock.patch.object(spectral, "cdist", wraps=cdist) as rescore:
+        out = nearest_rows(queries, data.vertices)
+    assert np.array_equal(out, cdist(queries, data.vertices).argmin(axis=1))
+    assert rescore.call_count < 0.1 * len(queries)
 
 
 _THREAD_CASE = """

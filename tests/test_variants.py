@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,6 +18,7 @@ from smoothmatch.variants import (
     arap_rhs,
     arap_rigid_term,
     nicp_operator,
+    prefactored,
     y_step_arap,
     y_step_dirichlet,
     y_step_nicp,
@@ -32,6 +35,13 @@ def dirichlet_coupled_energy(y, pulled, mesh, beta):
     return dirichlet_energy(y, mesh.cot_matrix) + beta * a_norm_sq(
         y - pulled, mesh.vertex_areas
     )
+
+
+def test_prefactored_singular_matrix_raises(caplog):
+    # a singular Y-step system is a solver error, never silently ridged
+    with caplog.at_level(logging.WARNING), pytest.raises(RuntimeError):
+        prefactored(sparse.csc_matrix((3, 3)))
+    assert not caplog.records
 
 
 # ----------------------------------------------------------------------
