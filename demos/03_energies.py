@@ -40,8 +40,8 @@ state.c_12 = np.eye(20)
 state.c_21 = np.eye(20)
 state.y_12 = src.vertices.copy()
 state.y_21 = src.vertices.copy()
-w = EnergyWeights(gamma=0.5)
-parts = energy_breakdown(state, src, src, b_src.sliced(20), b_src.sliced(20), w)
+parts = energy_breakdown(state, src, src, b_src.sliced(20), b_src.sliced(20),
+                         EnergyWeights(), 0.5)
 print("\nidentity fixture breakdown")
 for key in ("e_bij", "e_couple_spec", "e_dirichlet", "e_couple_spatial", "e_total"):
     print("  %-16s %.6e" % (key, parts[key]))
@@ -58,7 +58,7 @@ state.c_21 = rng.normal(size=(20, 20))
 state.y_12 = rng.normal(size=(n, 3)) * 0.1
 state.y_21 = rng.normal(size=(n, 3)) * 0.1
 parts = energy_breakdown(state, src, tgt, b_src.sliced(20), b_tgt.sliced(20),
-                         EnergyWeights(beta=200.0, gamma=0.3))
+                         EnergyWeights(beta=200.0), 0.3)
 print("\nrandom state breakdown")
 for key, val in parts.items():
     print("  %-16s %.4f" % (key, val))

@@ -51,7 +51,6 @@ def build_parser():
     p_ref.add_argument("--iters", type=int, default=9)
     p_ref.add_argument("--gamma-init", type=float, default=0.1)
     p_ref.add_argument("--gamma-final", type=float, default=1.0)
-    p_ref.add_argument("--spectral-bij", type=float, default=1.0)
     p_ref.add_argument("--alpha", type=float, default=0.1,
                        help="spectral coupling weight")
     p_ref.add_argument("--beta", type=float, default=None,
@@ -130,10 +129,27 @@ def _require(path, what):
     return path
 
 
+def _read_map(path, n_src, n_tgt):
+    """The pointwise map in ``path`` from a mesh of ``n_src`` vertices to one of ``n_tgt``."""
+    pi = sm_io.read_pointwise_map(_require(path, "map file"), n_tgt)
+    if pi.n_src != n_src:
+        raise ValueError("%s: %d map entries, mesh has %d vertices" % (path, pi.n_src, n_src))
+    return pi
+
+
+def _read_ground_truth(path, n_src, n_tgt):
+    """The checked 1 -> 2 ground truth in ``path``; a bad index names the file."""
+    gt = sm_io.read_ground_truth(_require(path, "ground-truth file"))
+    try:
+        return checked_ground_truth(*gt, n_src, n_tgt)
+    except ValueError as exc:
+        raise ValueError("%s in %s" % (exc, path)) from None
+
+
 def _refine_config(args):
     variant = Variant(kind=args.energy, lam=args.lam, mu=args.mu, k_def=args.k_def)
     beta = variant.default_beta if args.beta is None else args.beta
-    weights = EnergyWeights(spectral_bij=args.spectral_bij, alpha=args.alpha, beta=beta)
+    weights = EnergyWeights(alpha=args.alpha, beta=beta)
     return SolverConfig(
         k_init=args.k_init, k_final=args.k_final, n_outer=args.iters,
         gamma_init=args.gamma_init, gamma_final=args.gamma_final,
@@ -148,8 +164,7 @@ def _print_config(config, args):
     for obj in (config.variant, config, config.weights):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
-            # weights.gamma is overwritten by the gamma_init/gamma_final schedule
-            if dataclasses.is_dataclass(value) or f.name == "gamma":
+            if dataclasses.is_dataclass(value):
                 continue
             if isinstance(value, float):
                 value = "%g" % value
@@ -167,16 +182,11 @@ def _cmd_refine(args):
         pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"),
                                        (mesh_1.n_vertices, mesh_2.n_vertices))
     else:
-        path_12, path_21 = args.init_map
-        pi_12 = sm_io.read_pointwise_map(_require(path_12, "initial map"), mesh_2.n_vertices)
-        pi_21 = sm_io.read_pointwise_map(_require(path_21, "initial map"), mesh_1.n_vertices)
-        if pi_12.n_src != mesh_1.n_vertices or pi_21.n_src != mesh_2.n_vertices:
-            raise ValueError("initial map length does not match mesh size")
+        pi_12 = _read_map(args.init_map[0], mesh_1.n_vertices, mesh_2.n_vertices)
+        pi_21 = _read_map(args.init_map[1], mesh_2.n_vertices, mesh_1.n_vertices)
     gt_src = gt_tgt = None
     if args.gt:
-        gt_src, gt_tgt = checked_ground_truth(
-            *sm_io.read_ground_truth(_require(args.gt, "ground-truth file")),
-            mesh_1.n_vertices, mesh_2.n_vertices)
+        gt_src, gt_tgt = _read_ground_truth(args.gt, mesh_1.n_vertices, mesh_2.n_vertices)
 
     k_max = min(config.k_final, mesh_1.n_vertices - 2, mesh_2.n_vertices - 2)
     if k_max < 2:
@@ -257,19 +267,11 @@ def _run_batch(args):
 def _cmd_eval(args):
     mesh_1 = load_mesh(_require(args.src, "source mesh"), normalize=not args.no_normalize)
     mesh_2 = load_mesh(_require(args.tgt, "target mesh"), normalize=not args.no_normalize)
-    pi_12 = sm_io.read_pointwise_map(_require(args.map12, "map file"), mesh_2.n_vertices)
-    if pi_12.n_src != mesh_1.n_vertices:
-        raise ValueError("map length %d does not match mesh size %d"
-                         % (pi_12.n_src, mesh_1.n_vertices))
-    pi_21 = None
-    if args.map21:
-        pi_21 = sm_io.read_pointwise_map(_require(args.map21, "map file"), mesh_1.n_vertices)
-        if pi_21.n_src != mesh_2.n_vertices:
-            raise ValueError("map length %d does not match mesh size %d"
-                             % (pi_21.n_src, mesh_2.n_vertices))
+    pi_12 = _read_map(args.map12, mesh_1.n_vertices, mesh_2.n_vertices)
+    pi_21 = _read_map(args.map21, mesh_2.n_vertices, mesh_1.n_vertices) if args.map21 else None
     gt_src = gt_tgt = None
     if args.gt:
-        gt_src, gt_tgt = sm_io.read_ground_truth(_require(args.gt, "ground-truth file"))
+        gt_src, gt_tgt = _read_ground_truth(args.gt, mesh_1.n_vertices, mesh_2.n_vertices)
 
     report = compute_report(pi_12, pi_21, mesh_1, mesh_2, gt_src, gt_tgt,
                             with_conformal=args.conformal)

@@ -18,7 +18,8 @@ and the coupled smoothness energy (Dirichlet flavor)
 
 with |M|^2_A = trace(M.T A M), an area-weighted sum of squared rows.
 The total objective is bijectivity plus ``gamma`` times the coupled
-smoothness block.
+smoothness block.  ``EnergyWeights`` holds ``alpha`` and ``beta``;
+``gamma`` follows the solver's schedule, one value per iteration.
 """
 
 from dataclasses import dataclass, fields
@@ -30,18 +31,15 @@ from .spectral import p2p_to_fmap
 
 @dataclass(frozen=True)
 class EnergyWeights:
-    """Weights of the combined objective.
+    """Weights of the combined objective; the smoothness weight gamma is
+    the solver schedule's, an argument of ``energy_breakdown``.
 
-    spectral_bij : weight of the spectral bijectivity terms (default 1)
     alpha : weight of the spectral coupling terms (default 0.1)
     beta : weight of the spatial coupling terms (variant dependent)
-    gamma : weight of the whole smoothness block (scheduled by the solver)
     """
 
-    spectral_bij: float = 1.0
     alpha: float = 0.1
     beta: float = 1.0
-    gamma: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -105,7 +103,7 @@ def bijectivity_terms(state, basis_1, basis_2):
 def bijectivity_energy(state, basis_1, basis_2, weights):
     """Spectral bijectivity energy over both directions."""
     bij, couple = bijectivity_terms(state, basis_1, basis_2)
-    return weights.spectral_bij * bij + weights.alpha * couple
+    return bij + weights.alpha * couple
 
 
 def smoothness_terms(state, mesh_1, mesh_2):
@@ -134,20 +132,20 @@ def variant_smoothness(state, mesh_1, mesh_2, weights, variant, terms=None):
     return regularizer(state, mesh_1, mesh_2, variant, e_d) + weights.beta * e_couple
 
 
-def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, variant=None):
+def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, gamma, variant=None):
     """All energy terms as a flat dict (solver trace rows, CLI report).
 
-    ``variant`` is the active ``Variant`` (``None``: Dirichlet).  Raw
-    columns are unweighted; ``e_total`` applies the weights, so for the
-    Dirichlet variant
+    ``gamma`` weights the smoothness block, ``variant`` is the active
+    ``Variant`` (``None``: Dirichlet).  Raw columns are unweighted;
+    ``e_total`` applies the weights, so for the Dirichlet variant
 
-        e_total = spectral_bij * e_bij + alpha * e_couple_spec
+        e_total = e_bij + alpha * e_couple_spec
                   + gamma * (e_dirichlet + beta * e_couple_spatial).
     """
     bij, couple_spec = bijectivity_terms(state, basis_1, basis_2)
     e_d, couple_spatial = smoothness_terms(state, mesh_1, mesh_2)
     e_sm = variant_smoothness(state, mesh_1, mesh_2, weights, variant, (e_d, couple_spatial))
-    total = weights.spectral_bij * bij + weights.alpha * couple_spec + weights.gamma * e_sm
+    total = bij + weights.alpha * couple_spec + gamma * e_sm
     return {
         "e_bij": bij,
         "e_couple_spec": couple_spec,

@@ -22,12 +22,13 @@ map it represents.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import variants as _variants
 from .energies import EnergyWeights, energy_breakdown
+from .io import _savetxt
 from .spectral import PointwiseMap, nearest_rows
 from .variants import Variant
 
@@ -60,9 +61,6 @@ class SolverConfig:
             raise ValueError("a geometric gamma ramp needs gamma_init > 0")
         if self.weights is None:
             self.weights = EnergyWeights(beta=self.variant.default_beta)
-        if self.weights.gamma != 1.0:
-            raise ValueError("weights.gamma is set per iteration from gamma_init and "
-                             "gamma_final; set those instead")
 
     def k_schedule(self):
         """Spectral sizes per iteration, linear from k_init to k_final."""
@@ -109,11 +107,9 @@ class EnergyTrace:
     def to_csv(self, path):
         """Write the trace as CSV to ``path``, as plain text whatever its name."""
         rows = np.array([[r[c] for c in self.COLUMNS] for r in self.rows], dtype=np.float64)
-        # an open file, since np.savetxt would gzip a path ending in .gz
-        with open(path, "w") as fh:
-            np.savetxt(fh, rows.reshape(-1, len(self.COLUMNS)), comments="",
-                       fmt="%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g",
-                       header=",".join(self.COLUMNS))
+        _savetxt(path, rows.reshape(-1, len(self.COLUMNS)), comments="",
+                 fmt="%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g",
+                 header=",".join(self.COLUMNS))
 
 
 def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights):
@@ -153,40 +149,39 @@ def c_step(state, basis_1, basis_2, weights):
     return c_12, c_21
 
 
-def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, exact):
+def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, gamma, exact):
     # recover the map src -> tgt; per source vertex q the assignment
     # minimizes (up to the positive row weight A_src[q])
     #   alpha |Phi_tgt[p] - (Phi_src C_own)[q]|^2
     #   + gamma beta |X_tgt[p] - Y[q]|^2
-    #   (+ spectral_bij |(Phi_tgt C_other)[p] - Phi_src[q]|^2 in exact mode)
+    #   (+ |(Phi_tgt C_other)[p] - Phi_src[q]|^2 in exact mode)
     sa = np.sqrt(weights.alpha)
     query = [sa * (basis_src.phi @ c_own)]
     data = [sa * basis_tgt.phi]
 
-    if weights.gamma * weights.beta != 0:
-        s = np.sqrt(weights.gamma * weights.beta)
+    if gamma * weights.beta != 0:
+        s = np.sqrt(gamma * weights.beta)
         query.append(s * y)
         data.append(s * mesh_tgt.vertices)
 
     if exact:
-        sb = np.sqrt(weights.spectral_bij)
-        query.append(sb * basis_src.phi)
-        data.append(sb * (basis_tgt.phi @ c_other))
+        query.append(basis_src.phi)
+        data.append(basis_tgt.phi @ c_other)
 
     idx = nearest_rows(np.hstack(query), np.hstack(data))
     return PointwiseMap(idx, mesh_tgt.n_vertices)
 
 
-def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, weights, exact=False):
+def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, weights, gamma, exact=False):
     """Row-separable assignment update of both pointwise maps.
 
     The bases hold the K eigenpairs of the state's K x K functional maps.
     """
     pi_12 = _pi_direction(
-        state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2, weights, exact
+        state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2, weights, gamma, exact
     )
     pi_21 = _pi_direction(
-        state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_1, weights, exact
+        state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_1, weights, gamma, exact
     )
     return pi_12, pi_21
 
@@ -242,27 +237,27 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
 
     for it in range(config.n_outer):
         k = int(ks[it])
-        w_it = replace(weights, gamma=float(gammas[it]))
+        gamma = float(gammas[it])
         b1 = basis_1.sliced(k)
         b2 = basis_2.sliced(k)
 
-        state.c_12, state.c_21 = c_step(state, b1, b2, w_it)
+        state.c_12, state.c_21 = c_step(state, b1, b2, weights)
 
         state.y_12, state.aux_12 = _variants.run_y_step(
-            variant, w_it.beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, solve=solves[0]
+            variant, weights.beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, solve=solves[0]
         )
         state.y_21, state.aux_21 = _variants.run_y_step(
-            variant, w_it.beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, solve=solves[1]
+            variant, weights.beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, solve=solves[1]
         )
 
         new_12, new_21 = pi_step(
-            state, mesh_1, mesh_2, b1, b2, w_it, exact=config.exact_pi_step
+            state, mesh_1, mesh_2, b1, b2, weights, gamma, exact=config.exact_pi_step
         )
         unchanged = new_12 == state.pi_12 and new_21 == state.pi_21
         state.pi_12, state.pi_21 = new_12, new_21
 
-        parts = energy_breakdown(state, mesh_1, mesh_2, b1, b2, w_it, variant)
-        trace.append(iteration=it, k=k, gamma=float(gammas[it]), **parts)
+        parts = energy_breakdown(state, mesh_1, mesh_2, b1, b2, weights, gamma, variant)
+        trace.append(iteration=it, k=k, gamma=gamma, **parts)
 
         if unchanged and np.all(ks[it:] == k) and np.all(gammas[it:] == gammas[it]):
             break

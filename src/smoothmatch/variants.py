@@ -360,7 +360,11 @@ Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
 # beta * diam^2 against a spectral block of order k, so the Dirichlet
 # default must sit in the hundreds to act at all on unit-area meshes;
 # the remaining values follow the per-energy tuning of the equivalent
-# deformation solvers.
+# deformation solvers.  At those defaults nicp, arap and shells are all
+# but inert: on hull pairs their smoothness block is 1e-6 to 1e-2 of
+# e_total, and in the Pi-step nicp's spatial block gamma beta |x|^2 has
+# a mean squared row norm of 8e-5 to 8e-4, against 1.4 to 16 for
+# dirichlet.
 ENERGIES = {
     "dirichlet": Energy(
         200.0,

@@ -74,7 +74,7 @@ def bijectivity_slow(state, basis_1, basis_2, weights):
         phi_i = b_i.phi[:, :k_i]
         phi_j = b_j.phi[:, :k_j]
         p = dense_pi(pi_back)
-        total += weights.spectral_bij * a_norm_sq_slow(p @ phi_i @ c_back - phi_j, b_j.areas)
+        total += a_norm_sq_slow(p @ phi_i @ c_back - phi_j, b_j.areas)
         total += weights.alpha * a_norm_sq_slow(phi_j @ c_fwd - p @ phi_i, b_j.areas)
     return total
 
@@ -91,8 +91,8 @@ def coupled_smoothness_slow(state, mesh_1, mesh_2, weights):
     return total
 
 
-def total_energy_slow(state, mesh_1, mesh_2, basis_1, basis_2, weights):
-    return bijectivity_slow(state, basis_1, basis_2, weights) + weights.gamma * (
+def total_energy_slow(state, mesh_1, mesh_2, basis_1, basis_2, weights, gamma):
+    return bijectivity_slow(state, basis_1, basis_2, weights) + gamma * (
         coupled_smoothness_slow(state, mesh_1, mesh_2, weights)
     )
 
@@ -152,7 +152,7 @@ def c_step_slow(state, basis_1, basis_2, weights, k):
     return c_12, c_21
 
 
-def pi_step_exact_slow(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights):
+def pi_step_exact_slow(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, gamma):
     """Per-row exhaustive minimization of the full assignment objective."""
     k_src, k_tgt = c_own.shape
     phi_src = basis_src.phi[:, :k_src]
@@ -164,10 +164,9 @@ def pi_step_exact_slow(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weight
     for q in range(phi_src.shape[0]):
         best, best_val = 0, np.inf
         for p in range(phi_tgt.shape[0]):
-            val = weights.spectral_bij * float(
-                np.sum((bij_d[p] - phi_src[q]) ** 2)
-            ) + weights.alpha * float(np.sum((phi_tgt[p] - spec_q[q]) ** 2))
-            val += weights.gamma * weights.beta * float(np.sum((x_tgt[p] - y[q]) ** 2))
+            val = float(np.sum((bij_d[p] - phi_src[q]) ** 2)) + weights.alpha * float(
+                np.sum((phi_tgt[p] - spec_q[q]) ** 2))
+            val += gamma * weights.beta * float(np.sum((x_tgt[p] - y[q]) ** 2))
             if val < best_val:
                 best, best_val = p, val
         out[q] = best

@@ -117,8 +117,8 @@ def test_energy_oracle_suite():
             w = EnergyWeights(
                 alpha=float(rng.uniform(0.05, 2.0)),
                 beta=float(rng.uniform(0.2, 5.0)),
-                gamma=float(rng.uniform(0.1, 1.0)),
             )
+            gamma = float(rng.uniform(0.1, 1.0))
 
             def close(a, b):
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
@@ -140,8 +140,8 @@ def test_energy_oracle_suite():
                 coupled_smoothness_slow(state, m1, m2, w),
             )
             close(
-                energy_breakdown(state, m1, m2, b1, b2, w)["e_total"],
-                total_energy_slow(state, m1, m2, b1, b2, w),
+                energy_breakdown(state, m1, m2, b1, b2, w, gamma)["e_total"],
+                total_energy_slow(state, m1, m2, b1, b2, w, gamma),
             )
 
 

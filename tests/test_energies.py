@@ -193,9 +193,8 @@ def test_total_identity_fixture(sphere2, sphere2_basis):
     state.c_21 = np.eye(10)
     state.y_12 = sphere2.vertices.copy()
     state.y_21 = sphere2.vertices.copy()
-    w = EnergyWeights(gamma=0.45)
     expected = 0.45 * 2.0 * dirichlet_energy(sphere2.vertices, sphere2.cot_matrix)
-    got = energy_breakdown(state, sphere2, sphere2, b, b, w)["e_total"]
+    got = energy_breakdown(state, sphere2, sphere2, b, b, EnergyWeights(), 0.45)["e_total"]
     assert abs(got - expected) < 1e-9 * max(1.0, expected)
 
 
@@ -203,8 +202,8 @@ def test_total_gamma_zero_is_bijectivity(rng):
     m1, m2 = hull_mesh(rng, 16), hull_mesh(rng, 17)
     b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
     state = make_random_state(rng, m1, m2, b1, b2, 5)
-    w = EnergyWeights(gamma=0.0)
-    assert energy_breakdown(state, m1, m2, b1, b2, w)["e_total"] == pytest.approx(
+    w = EnergyWeights()
+    assert energy_breakdown(state, m1, m2, b1, b2, w, 0.0)["e_total"] == pytest.approx(
         bijectivity_energy(state, b1, b2, w), rel=1e-12
     )
 
@@ -214,8 +213,7 @@ def test_all_energies_nonnegative(rng):
         m1, m2 = hull_mesh(rng, 15), hull_mesh(rng, 15)
         b1, b2 = compute_basis(m1, 4), compute_basis(m2, 4)
         state = make_random_state(rng, m1, m2, b1, b2, 4)
-        w = EnergyWeights(beta=0.8, gamma=0.6)
-        parts = energy_breakdown(state, m1, m2, b1, b2, w)
+        parts = energy_breakdown(state, m1, m2, b1, b2, EnergyWeights(beta=0.8), 0.6)
         for key, val in parts.items():
             assert val > -1e-10, key
 
@@ -224,16 +222,16 @@ def test_breakdown_total_consistent(rng):
     m1, m2 = hull_mesh(rng, 18), hull_mesh(rng, 19)
     b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
     state = make_random_state(rng, m1, m2, b1, b2, 5)
-    w = EnergyWeights(alpha=0.2, beta=1.4, gamma=0.7)
-    parts = energy_breakdown(state, m1, m2, b1, b2, w)
+    w, gamma = EnergyWeights(alpha=0.2, beta=1.4), 0.7
+    parts = energy_breakdown(state, m1, m2, b1, b2, w, gamma)
     recomposed = (
-        w.spectral_bij * parts["e_bij"]
+        parts["e_bij"]
         + w.alpha * parts["e_couple_spec"]
-        + w.gamma * (parts["e_dirichlet"] + w.beta * parts["e_couple_spatial"])
+        + gamma * (parts["e_dirichlet"] + w.beta * parts["e_couple_spatial"])
     )
     assert parts["e_total"] == pytest.approx(recomposed, rel=1e-12)
     assert parts["e_total"] == pytest.approx(
-        total_energy_slow(state, m1, m2, b1, b2, w), rel=1e-10
+        total_energy_slow(state, m1, m2, b1, b2, w, gamma), rel=1e-10
     )
 
 

@@ -407,7 +407,7 @@ def test_refine_print_config(fixture_dir, tmp_path, capsys):
     assert "beta 1" in out          # per-energy default
     assert "mu 10000" in out
     assert "gamma_init 0.1" in out
-    # weights.gamma is schedule-owned and not printed
+    # gamma follows the gamma_init/gamma_final schedule; no weight holds it
     assert "gamma" not in [line.split()[0] for line in out.splitlines()]
 
     # on a 42-vertex mesh the spectral sizes shrink, and the effective ones print
@@ -446,7 +446,6 @@ def test_refine_print_config_golden(fixture_dir, tmp_path, capsys):
         "gamma_init 0.1\n"
         "gamma_final 1\n"
         "exact_pi_step False\n"
-        "spectral_bij 1\n"
         "alpha 0.1\n"
         "beta 200\n"
         "normalize True\n"
@@ -579,6 +578,40 @@ def test_eval_length_mismatch(fixture_dir, tmp_path, capsys):
         "--tgt", str(fixture_dir / "tgt.off"), "--map12", str(bad),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("refine", "--init-map"), ("eval", "--map12"), ("eval", "--map21"),
+], ids=["refine_init_map", "eval_map12", "eval_map21"])
+def test_map_length_error_names_the_file(fixture_dir, tmp_path, capsys, command, flag):
+    n = load_mesh(fixture_dir / "src.off").n_vertices
+    good, short = tmp_path / "ident.txt", tmp_path / "short.txt"
+    sm_io.write_pointwise_map(good, PointwiseMap(np.arange(n), n))
+    sm_io.write_pointwise_map(short, PointwiseMap(np.arange(n - 1), n))
+    maps = {"--init-map": ["--init-map", str(short), str(good)],
+            "--map12": ["--map12", str(short)],
+            "--map21": ["--map12", str(good), "--map21", str(short)]}[flag]
+    out = ["--out", str(tmp_path / "o")] if command == "refine" else []
+    code = main([command, "--src", str(fixture_dir / "src.off"),
+                 "--tgt", str(fixture_dir / "tgt.off")] + maps + out)
+    assert code == 2
+    assert ("error: %s: %d map entries, mesh has %d vertices\n" % (short, n - 1, n)
+            == capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["refine", "eval"])
+def test_ground_truth_range_error_names_the_file(fixture_dir, tmp_path, capsys, command):
+    n = load_mesh(fixture_dir / "src.off").n_vertices
+    ident, gt = tmp_path / "ident.txt", tmp_path / "bad_gt.txt"
+    sm_io.write_pointwise_map(ident, PointwiseMap(np.arange(n), n))
+    gt.write_text("0 0\n%d 3\n" % n)
+    maps = (["--init-map", str(ident), str(ident), "--out", str(tmp_path / "o")]
+            if command == "refine" else ["--map12", str(ident)])
+    code = main([command, "--src", str(fixture_dir / "src.off"),
+                 "--tgt", str(fixture_dir / "tgt.off"), "--gt", str(gt)] + maps)
+    assert code == 2
+    assert ("error: ground-truth source index out of range [0, %d) in %s\n" % (n, gt)
+            == capsys.readouterr().err)
 
 
 def test_cli_roundtrip_matches_library(fixture_dir, refined_dir, tmp_path, capsys):

@@ -321,7 +321,7 @@ def test_nearest_sphere_centre_ties_every_row():
 def test_nearest_non_finite_query_rows():
     rng = np.random.default_rng(4)
     data = rng.normal(size=(30, 3))
-    data[0] = -1.0      # an infinite coordinate screens row 0 at +inf, not -inf
+    data[0] = -1.0      # a finite constant row; only the queries are non-finite
     queries = rng.normal(size=(8, 3))
     queries[1, 0] = np.nan
     queries[4, 2] = np.inf
