@@ -8,8 +8,8 @@
 import numpy as np
 
 from smoothmatch import (
-    EnergyWeights,
     PointwiseMap,
+    SolverConfig,
     SolverState,
     compute_basis,
     dirichlet_energy,
@@ -41,7 +41,7 @@ state.c_21 = np.eye(20)
 state.y_12 = src.vertices.copy()
 state.y_21 = src.vertices.copy()
 parts = energy_breakdown(state, src, src, b_src.sliced(20), b_src.sliced(20),
-                         EnergyWeights(), 0.5)
+                         SolverConfig(beta=1.0), 0.5)
 print("\nidentity fixture breakdown")
 for key in ("e_bij", "e_couple_spec", "e_dirichlet", "e_couple_spatial", "e_total"):
     print("  %-16s %.6e" % (key, parts[key]))
@@ -58,7 +58,7 @@ state.c_21 = rng.normal(size=(20, 20))
 state.y_12 = rng.normal(size=(n, 3)) * 0.1
 state.y_21 = rng.normal(size=(n, 3)) * 0.1
 parts = energy_breakdown(state, src, tgt, b_src.sliced(20), b_tgt.sliced(20),
-                         EnergyWeights(beta=200.0), 0.3)
+                         SolverConfig(beta=200.0), 0.3)
 print("\nrandom state breakdown")
 for key, val in parts.items():
     print("  %-16s %.4f" % (key, val))

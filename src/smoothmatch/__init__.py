@@ -6,7 +6,6 @@ energy (Dirichlet by default) with a three-block coordinate solver.
 """
 
 from .energies import (
-    EnergyWeights,
     bijectivity_energy,
     coupling_energy,
     dirichlet_energy,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnergyTrace",
-    "EnergyWeights",
     "MetricsReport",
     "PointwiseMap",
     "SolverConfig",

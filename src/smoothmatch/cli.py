@@ -14,11 +14,11 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import io as sm_io
-from .energies import EnergyWeights
+from .energies import format_breakdown
 from .mesh import load_mesh, write_off
 from .metrics import checked_ground_truth, compute_report
 from .solver import SolverConfig, landmark_init, refine
-from .spectral import compute_basis
+from .spectral import compute_basis, p2p_to_fmap
 from .synth import farthest_point_indices, icosphere, jittered_copy
 from .variants import VARIANT_KINDS, Variant
 
@@ -43,21 +43,21 @@ def build_parser():
     init.add_argument("--landmarks", help="landmark pair file (src_idx tgt_idx per line)")
     init.add_argument("--init-map", nargs=2, metavar=("MAP12", "MAP21"),
                       help="initial pointwise map files for both directions")
-    p_ref.add_argument("--energy", choices=VARIANT_KINDS, default="dirichlet")
+    p_ref.add_argument("--energy", choices=VARIANT_KINDS, default=Variant.kind)
     p_ref.add_argument("--out", help="output directory")
     p_ref.add_argument("--gt", help="ground-truth file for the 1->2 direction")
-    p_ref.add_argument("--k-init", type=int, default=20)
-    p_ref.add_argument("--k-final", type=int, default=100)
-    p_ref.add_argument("--iters", type=int, default=9)
-    p_ref.add_argument("--gamma-init", type=float, default=0.1)
-    p_ref.add_argument("--gamma-final", type=float, default=1.0)
-    p_ref.add_argument("--alpha", type=float, default=0.1,
+    p_ref.add_argument("--k-init", type=int, default=SolverConfig.k_init)
+    p_ref.add_argument("--k-final", type=int, default=SolverConfig.k_final)
+    p_ref.add_argument("--iters", type=int, default=SolverConfig.n_outer)
+    p_ref.add_argument("--gamma-init", type=float, default=SolverConfig.gamma_init)
+    p_ref.add_argument("--gamma-final", type=float, default=SolverConfig.gamma_final)
+    p_ref.add_argument("--alpha", type=float, default=SolverConfig.alpha,
                        help="spectral coupling weight")
     p_ref.add_argument("--beta", type=float, default=None,
                        help="spatial coupling weight (default: per-energy)")
-    p_ref.add_argument("--lam", type=float, default=1.0,
+    p_ref.add_argument("--lam", type=float, default=Variant.lam,
                        help="rigidity weight (arap/shells)")
-    p_ref.add_argument("--mu", type=float, default=1e4,
+    p_ref.add_argument("--mu", type=float, default=Variant.mu,
                        help="pointwise bijectivity weight (rhm)")
     p_ref.add_argument("--k-def", type=int, default=None,
                        help="displacement basis size (shells); each iteration uses "
@@ -148,12 +148,10 @@ def _read_ground_truth(path, n_src, n_tgt):
 
 def _refine_config(args):
     variant = Variant(kind=args.energy, lam=args.lam, mu=args.mu, k_def=args.k_def)
-    beta = variant.default_beta if args.beta is None else args.beta
-    weights = EnergyWeights(alpha=args.alpha, beta=beta)
     return SolverConfig(
         k_init=args.k_init, k_final=args.k_final, n_outer=args.iters,
         gamma_init=args.gamma_init, gamma_final=args.gamma_final,
-        variant=variant, weights=weights, exact_pi_step=args.exact_pi_step,
+        variant=variant, exact_pi_step=args.exact_pi_step, alpha=args.alpha, beta=args.beta,
     )
 
 
@@ -161,7 +159,7 @@ def _print_config(config, args):
     print("command refine")
     print("src %s" % args.src)
     print("tgt %s" % args.tgt)
-    for obj in (config.variant, config, config.weights):
+    for obj in (config.variant, config):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
             if dataclasses.is_dataclass(value):
@@ -210,15 +208,11 @@ def _cmd_refine(args):
     sm_io.write_pointwise_map(os.path.join(args.out, "map_12.txt"), pi_12)
     sm_io.write_pointwise_map(os.path.join(args.out, "map_21.txt"), pi_21)
     trace.to_csv(os.path.join(args.out, "energy_trace.csv"))
-    if len(trace):
-        from .energies import format_breakdown
+    final = {k: v for k, v in trace.rows[-1].items() if k.startswith("e_")}
+    with open(os.path.join(args.out, "energy_report.txt"), "w") as fh:
+        fh.write(format_breakdown(final) + "\n")
 
-        final = {k: v for k, v in trace.rows[-1].items() if k.startswith("e_")}
-        with open(os.path.join(args.out, "energy_report.txt"), "w") as fh:
-            fh.write(format_breakdown(final) + "\n")
-
-    from .spectral import p2p_to_fmap
-    k = int(trace.rows[-1]["k"]) if len(trace) else config.k_final
+    k = int(trace.rows[-1]["k"])
     # fmap_NM.txt holds the spectral pull-back of map_NM.txt
     b1, b2 = basis_1.sliced(k), basis_2.sliced(k)
     sm_io.write_fmap(os.path.join(args.out, "fmap_12.txt"), p2p_to_fmap(pi_12, b1, b2))

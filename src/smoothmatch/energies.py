@@ -18,34 +18,15 @@ and the coupled smoothness energy (Dirichlet flavor)
 
 with |M|^2_A = trace(M.T A M), an area-weighted sum of squared rows.
 The total objective is bijectivity plus ``gamma`` times the coupled
-smoothness block.  ``EnergyWeights`` holds ``alpha`` and ``beta``;
-``gamma`` follows the solver's schedule, one value per iteration.
+smoothness block.  The functions below read ``alpha``, ``beta`` and the
+active energy from the ``SolverConfig`` they are given (the smoothness
+block comes from ``config.variant.energy``); ``gamma`` follows the
+solver's schedule, one value per iteration, and is passed explicitly.
 """
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .spectral import p2p_to_fmap
-
-
-@dataclass(frozen=True)
-class EnergyWeights:
-    """Weights of the combined objective; the smoothness weight gamma is
-    the solver schedule's, an argument of ``energy_breakdown``.
-
-    alpha : weight of the spectral coupling terms (default 0.1)
-    beta : weight of the spatial coupling terms (variant dependent)
-    """
-
-    alpha: float = 0.1
-    beta: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not 0 <= getattr(self, f.name) < np.inf:
-                raise ValueError("energy weight %s must be finite and nonnegative (got %s)"
-                                 % (f.name, getattr(self, f.name)))
 
 
 def a_norm_sq(values, areas):
@@ -100,10 +81,10 @@ def bijectivity_terms(state, basis_1, basis_2):
     return b12 + b21, c12 + c21
 
 
-def bijectivity_energy(state, basis_1, basis_2, weights):
-    """Spectral bijectivity energy over both directions."""
+def bijectivity_energy(state, basis_1, basis_2, config):
+    """Spectral bijectivity energy over both directions, at ``config.alpha``."""
     bij, couple = bijectivity_terms(state, basis_1, basis_2)
-    return bij + weights.alpha * couple
+    return bij + config.alpha * couple
 
 
 def smoothness_terms(state, mesh_1, mesh_2):
@@ -117,35 +98,32 @@ def smoothness_terms(state, mesh_1, mesh_2):
     return e_d, e_c
 
 
-def variant_smoothness(state, mesh_1, mesh_2, weights, variant, terms=None):
-    """Coupled smoothness block for the active ``Variant`` (``None``: Dirichlet).
+def variant_smoothness(state, mesh_1, mesh_2, config, terms=None):
+    """Coupled smoothness block of ``config.variant`` at ``config.beta``.
 
     ``terms`` may pass in the ``smoothness_terms`` of ``state`` when the
     caller has them.  Energies with auxiliary unknowns (nicp, arap,
     shells) raise ValueError on a state whose Y-steps left none.
     """
-    from .variants import ENERGIES, Variant
-
-    variant = Variant() if variant is None else variant
     e_d, e_couple = smoothness_terms(state, mesh_1, mesh_2) if terms is None else terms
-    regularizer = ENERGIES[variant.kind].regularizer
-    return regularizer(state, mesh_1, mesh_2, variant, e_d) + weights.beta * e_couple
+    variant = config.variant
+    return variant.energy.regularizer(state, mesh_1, mesh_2, variant, e_d) + config.beta * e_couple
 
 
-def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, weights, gamma, variant=None):
+def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
     """All energy terms as a flat dict (solver trace rows, CLI report).
 
-    ``gamma`` weights the smoothness block, ``variant`` is the active
-    ``Variant`` (``None``: Dirichlet).  Raw columns are unweighted;
-    ``e_total`` applies the weights, so for the Dirichlet variant
+    ``gamma`` weights the smoothness block of ``config.variant``.  Raw
+    columns are unweighted; ``e_total`` applies the weights, so for the
+    Dirichlet variant
 
         e_total = e_bij + alpha * e_couple_spec
                   + gamma * (e_dirichlet + beta * e_couple_spatial).
     """
     bij, couple_spec = bijectivity_terms(state, basis_1, basis_2)
     e_d, couple_spatial = smoothness_terms(state, mesh_1, mesh_2)
-    e_sm = variant_smoothness(state, mesh_1, mesh_2, weights, variant, (e_d, couple_spatial))
-    total = bij + weights.alpha * couple_spec + gamma * e_sm
+    e_sm = variant_smoothness(state, mesh_1, mesh_2, config, (e_d, couple_spatial))
+    total = bij + config.alpha * couple_spec + gamma * e_sm
     return {
         "e_bij": bij,
         "e_couple_spec": couple_spec,

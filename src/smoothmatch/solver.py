@@ -11,6 +11,10 @@ objective (bijectivity plus gamma times coupled smoothness):
    ``exact_pi_step`` is on; the default drops the first bijectivity
    block, keeping only coupling terms, which is much smaller).
 
+``SolverConfig`` is the one record of the objective: its schedules,
+its weights ``alpha`` and ``beta``, the active energy and the Pi-step
+mode.  Every block step reads the config it is given.
+
 Across iterations the spectral size K grows linearly and gamma follows
 a geometric ramp, so early iterations align low frequencies before the
 smoothness term is fully weighted.
@@ -27,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import variants as _variants
-from .energies import EnergyWeights, energy_breakdown
+from .energies import energy_breakdown
 from .io import _savetxt
-from .spectral import PointwiseMap, nearest_rows
+from .spectral import PointwiseMap, fmap_to_p2p, nearest_rows, p2p_to_fmap
 from .variants import Variant
 
 logger = logging.getLogger(__name__)
@@ -37,7 +41,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class SolverConfig:
-    """Schedules, weights and switches of the refinement loop."""
+    """Schedules, weights and switches of the refinement loop.
+
+    alpha : weight of the spectral coupling terms
+    beta : weight of the spatial coupling terms; None resolves to
+        ``variant.default_beta`` at construction
+    The smoothness weight gamma follows ``gamma_schedule``.
+    """
 
     k_init: int = 20
     k_final: int = 100
@@ -45,10 +55,17 @@ class SolverConfig:
     gamma_init: float = 0.1
     gamma_final: float = 1.0
     variant: Variant = field(default_factory=Variant)
-    weights: EnergyWeights | None = None
     exact_pi_step: bool = False
+    alpha: float = 0.1
+    beta: float | None = None
 
     def __post_init__(self):
+        if self.beta is None:
+            self.beta = self.variant.default_beta
+        for name in ("alpha", "beta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError("energy weight %s must be finite and nonnegative (got %s)"
+                                 % (name, getattr(self, name)))
         if self.k_init < 1 or self.k_final < self.k_init:
             raise ValueError("need 1 <= k_init <= k_final")
         if self.n_outer < 1:
@@ -59,8 +76,6 @@ class SolverConfig:
                                  % (name, getattr(self, name)))
         if self.gamma_init != self.gamma_final and self.gamma_init <= 0:
             raise ValueError("a geometric gamma ramp needs gamma_init > 0")
-        if self.weights is None:
-            self.weights = EnergyWeights(beta=self.variant.default_beta)
 
     def k_schedule(self):
         """Spectral sizes per iteration, linear from k_init to k_final."""
@@ -112,7 +127,7 @@ class EnergyTrace:
                  header=",".join(self.COLUMNS))
 
 
-def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights):
+def _c_direction(pi_back, pi_fwd, basis_i, basis_j, alpha):
     # exact minimizer over C_ji of both terms it appears in:
     #   |Pi_ji Phi_i C - Phi_j|^2_{A_j} + alpha |Phi_i C - Pi_ij Phi_j|^2_{A_i}
     # which, with Phi_i.T A_i Phi_i = I, gives the K x K SPD system
@@ -125,10 +140,9 @@ def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights):
     pulled = phi_i[pi_back.target_of]                     # Pi_ji Phi_i
     lhs = pulled.T @ (a_j[:, None] * pulled)
     rhs = pulled.T @ (a_j[:, None] * phi_j)
-    alpha = weights.alpha
     if alpha > 0:
         lhs = lhs + alpha * np.eye(k)
-        rhs = rhs + alpha * (phi_i.T @ (basis_i.areas[:, None] * phi_j[pi_fwd.target_of]))
+        rhs = rhs + alpha * p2p_to_fmap(pi_fwd, basis_i, basis_j)
     else:
         # rank-deficient map images can make the pure bijectivity
         # system singular; tiny documented ridge
@@ -137,34 +151,36 @@ def _c_direction(pi_back, pi_fwd, basis_i, basis_j, weights):
     return np.linalg.solve(lhs, rhs)
 
 
-def c_step(state, basis_1, basis_2, weights):
+def c_step(state, basis_1, basis_2, config):
     """Closed-form update of both functional maps at fixed Pi.
 
     Returns ``(c_12, c_21)`` where each K x K map is the exact joint
-    minimizer of the bijectivity energy in its own variable; K is the
-    size of the bases passed in.
+    minimizer of the bijectivity energy at ``config.alpha`` in its own
+    variable; K is the size of the bases passed in.
     """
-    c_21 = _c_direction(state.pi_21, state.pi_12, basis_1, basis_2, weights)
-    c_12 = _c_direction(state.pi_12, state.pi_21, basis_2, basis_1, weights)
+    c_21 = _c_direction(state.pi_21, state.pi_12, basis_1, basis_2, config.alpha)
+    c_12 = _c_direction(state.pi_12, state.pi_21, basis_2, basis_1, config.alpha)
     return c_12, c_21
 
 
-def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, gamma, exact):
+def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, config, gamma):
     # recover the map src -> tgt; per source vertex q the assignment
     # minimizes (up to the positive row weight A_src[q])
     #   alpha |Phi_tgt[p] - (Phi_src C_own)[q]|^2
     #   + gamma beta |X_tgt[p] - Y[q]|^2
     #   (+ |(Phi_tgt C_other)[p] - Phi_src[q]|^2 in exact mode)
-    sa = np.sqrt(weights.alpha)
+    # rhm's gamma mu |Pi_bwd Y_other - X_src|^2 term is left out, so the
+    # exact mode is not exact for rhm
+    sa = np.sqrt(config.alpha)
     query = [sa * (basis_src.phi @ c_own)]
     data = [sa * basis_tgt.phi]
 
-    if gamma * weights.beta != 0:
-        s = np.sqrt(gamma * weights.beta)
+    if gamma * config.beta != 0:
+        s = np.sqrt(gamma * config.beta)
         query.append(s * y)
         data.append(s * mesh_tgt.vertices)
 
-    if exact:
+    if config.exact_pi_step:
         query.append(basis_src.phi)
         data.append(basis_tgt.phi @ c_other)
 
@@ -172,17 +188,14 @@ def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, ga
     return PointwiseMap(idx, mesh_tgt.n_vertices)
 
 
-def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, weights, gamma, exact=False):
+def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
     """Row-separable assignment update of both pointwise maps.
 
-    The bases hold the K eigenpairs of the state's K x K functional maps.
+    The bases hold the K eigenpairs of the state's K x K functional maps;
+    ``config.exact_pi_step`` selects the exact embedding.
     """
-    pi_12 = _pi_direction(
-        state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2, weights, gamma, exact
-    )
-    pi_21 = _pi_direction(
-        state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_1, weights, gamma, exact
-    )
+    pi_12 = _pi_direction(state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2, config, gamma)
+    pi_21 = _pi_direction(state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_1, config, gamma)
     return pi_12, pi_21
 
 
@@ -220,16 +233,15 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
     if pi_21.n_src != mesh_2.n_vertices or pi_21.n_tgt != mesh_1.n_vertices:
         raise ValueError("pi_21 does not match the meshes")
 
-    weights = config.weights
     variant = config.variant
+    beta = config.beta
     ks = config.k_schedule()
     gammas = config.gamma_schedule()
 
     # map-independent Y-step operators are factored once per mesh
-    operator = _variants.ENERGIES[variant.kind].operator
     solves = []
     for mesh in (mesh_1, mesh_2):
-        op = operator(variant, mesh, weights.beta) if weights.beta > 0 else None
+        op = variant.energy.operator(variant, mesh, beta) if beta > 0 else None
         solves.append(_variants.prefactored(op) if op is not None else None)
 
     state = SolverState(pi_12, pi_21)
@@ -241,22 +253,20 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
         b1 = basis_1.sliced(k)
         b2 = basis_2.sliced(k)
 
-        state.c_12, state.c_21 = c_step(state, b1, b2, weights)
+        state.c_12, state.c_21 = c_step(state, b1, b2, config)
 
         state.y_12, state.aux_12 = _variants.run_y_step(
-            variant, weights.beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, solve=solves[0]
+            variant, beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, solve=solves[0]
         )
         state.y_21, state.aux_21 = _variants.run_y_step(
-            variant, weights.beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, solve=solves[1]
+            variant, beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, solve=solves[1]
         )
 
-        new_12, new_21 = pi_step(
-            state, mesh_1, mesh_2, b1, b2, weights, gamma, exact=config.exact_pi_step
-        )
+        new_12, new_21 = pi_step(state, mesh_1, mesh_2, b1, b2, config, gamma)
         unchanged = new_12 == state.pi_12 and new_21 == state.pi_21
         state.pi_12, state.pi_21 = new_12, new_21
 
-        parts = energy_breakdown(state, mesh_1, mesh_2, b1, b2, weights, gamma, variant)
+        parts = energy_breakdown(state, mesh_1, mesh_2, b1, b2, config, gamma)
         trace.append(iteration=it, k=k, gamma=gamma, **parts)
 
         if unchanged and np.all(ks[it:] == k) and np.all(gammas[it:] == gammas[it]):
@@ -279,8 +289,6 @@ def landmark_init(landmarks, basis_1, basis_2):
     landmarks : (L, 2) array_like
         Rows ``(index on mesh 1, index on mesh 2)``, L >= 2.
     """
-    from .spectral import fmap_to_p2p
-
     lm = np.asarray(landmarks, dtype=np.int64)
     if lm.ndim != 2 or lm.shape[1] != 2:
         raise ValueError("landmarks must be an (L, 2) index array")

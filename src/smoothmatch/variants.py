@@ -49,8 +49,13 @@ class Variant:
             raise ValueError("k_def must be at least 1 (got %s)" % self.k_def)
 
     @property
+    def energy(self):
+        """This kind's ``Energy`` entry: the one lookup of ``ENERGIES``."""
+        return ENERGIES[self.kind]
+
+    @property
     def default_beta(self):
-        return ENERGIES[self.kind].default_beta
+        return self.energy.default_beta
 
 
 def prefactored(mat):
@@ -316,9 +321,7 @@ def run_y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, sol
     auxiliary unknowns the variant's energy needs (rotations or the
     affine field), or None.
     """
-    return ENERGIES[variant.kind].y_step(
-        variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve
-    )
+    return variant.energy.y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve)
 
 
 def _aux_sum(state, mesh_1, mesh_2, key, term):
@@ -362,11 +365,12 @@ def _rhm_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
     return e_dirichlet + variant.mu * bij
 
 
-# The only dispatch on the energy kind.  Per energy: the default beta;
-# the Y-step, with run_y_step's arguments, returning (y, aux); the
-# regularizer, i.e. the smoothness block minus beta * e_couple_spatial;
-# and, for beta > 0, the map-independent Y-step operator, or None where
-# the system depends on the map (rhm) or is solved in the basis (shells).
+# The only dispatch on the energy kind, read through ``Variant.energy``.
+# Per energy: the default beta; the Y-step, with run_y_step's arguments,
+# returning (y, aux); the regularizer, i.e. the smoothness block minus
+# beta * e_couple_spatial; and, for beta > 0, the map-independent Y-step
+# operator, or None where the system depends on the map (rhm) or is
+# solved in the basis (shells).
 Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
 
 # The area-weighted coupling norm makes the spatial block scale like

@@ -20,7 +20,6 @@ from oracles import (
 from conftest import hull_mesh, random_map
 
 from smoothmatch.energies import (
-    EnergyWeights,
     bijectivity_energy,
     coupling_energy,
     dirichlet_energy,
@@ -114,7 +113,7 @@ def test_energy_oracle_suite():
             state.c_21 = rng.normal(size=(k, k))
             state.y_12 = rng.normal(size=(n1, 3))
             state.y_21 = rng.normal(size=(n2, 3))
-            w = EnergyWeights(
+            w = SolverConfig(
                 alpha=float(rng.uniform(0.05, 2.0)),
                 beta=float(rng.uniform(0.2, 5.0)),
             )
@@ -136,7 +135,7 @@ def test_energy_oracle_suite():
                 bijectivity_slow(state, b1, b2, w),
             )
             close(
-                variant_smoothness(state, m1, m2, w, None),
+                variant_smoothness(state, m1, m2, w),
                 coupled_smoothness_slow(state, m1, m2, w),
             )
             close(
@@ -157,7 +156,7 @@ def test_block_descent_monotonicity():
                 k_init=8, k_final=8, n_outer=10,
                 gamma_init=0.5, gamma_final=0.5,
                 exact_pi_step=True,
-                weights=EnergyWeights(beta=2.0),
+                beta=2.0,
             )
             _, _, trace = refine(
                 random_map(rng, m1, m2), random_map(rng, m2, m1),

@@ -11,14 +11,13 @@ from oracles import (
 from conftest import hull_mesh, random_map
 
 from smoothmatch.energies import (
-    EnergyWeights,
     bijectivity_energy,
     coupling_energy,
     dirichlet_energy,
     energy_breakdown,
     variant_smoothness,
 )
-from smoothmatch.solver import SolverState
+from smoothmatch.solver import SolverConfig, SolverState
 from smoothmatch.spectral import PointwiseMap, compute_basis, p2p_to_fmap
 
 
@@ -114,7 +113,7 @@ def test_bijectivity_identity_fixture_zero(sphere2, sphere2_basis):
     state = identity_state(sphere2)
     state.c_12 = np.eye(12)
     state.c_21 = np.eye(12)
-    w = EnergyWeights()
+    w = SolverConfig()
     assert bijectivity_energy(state, b, b, w) < 1e-10
 
 
@@ -125,7 +124,7 @@ def test_bijectivity_zero_fmap_gives_two_k(rng):
     state = identity_state(mesh)
     state.c_12 = np.zeros((7, 7))
     state.c_21 = np.zeros((7, 7))
-    w = EnergyWeights(alpha=0.0)
+    w = SolverConfig(alpha=0.0)
     got = bijectivity_energy(state, basis, basis, w)
     assert abs(got - 2 * 7) < 1e-8
     assert abs(got - bijectivity_slow(state, basis, basis, w)) < 1e-10 * got
@@ -135,7 +134,7 @@ def test_bijectivity_matches_dense(rng):
     m1, m2 = hull_mesh(rng, 15), hull_mesh(rng, 18)
     b1, b2 = compute_basis(m1, 6), compute_basis(m2, 6)
     state = make_random_state(rng, m1, m2, b1, b2, 6)
-    w = EnergyWeights(alpha=0.37)
+    w = SolverConfig(alpha=0.37)
     got = bijectivity_energy(state, b1, b2, w)
     want = bijectivity_slow(state, b1, b2, w)
     assert abs(got - want) < 1e-10 * max(1.0, want)
@@ -149,8 +148,8 @@ def test_coupled_smoothness_reduces_to_map_dirichlet(rng):
     state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
     state.y_12 = state.pi_12.pull(m2.vertices)
     state.y_21 = state.pi_21.pull(m1.vertices)
-    w = EnergyWeights(beta=2.5)
-    got = variant_smoothness(state, m1, m2, w, None)
+    w = SolverConfig(beta=2.5)
+    got = variant_smoothness(state, m1, m2, w)
     want = dirichlet_energy(state.y_12, m1.cot_matrix) + dirichlet_energy(
         state.y_21, m2.cot_matrix
     )
@@ -164,12 +163,12 @@ def test_coupled_smoothness_zero_y(rng):
     state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
     state.y_12 = np.zeros((m1.n_vertices, 3))
     state.y_21 = np.zeros((m2.n_vertices, 3))
-    w = EnergyWeights(beta=3.0)
+    w = SolverConfig(beta=3.0)
     want = 3.0 * (
         a_norm_sq(state.pi_12.pull(m2.vertices), m1.vertex_areas)
         + a_norm_sq(state.pi_21.pull(m1.vertices), m2.vertex_areas)
     )
-    got = variant_smoothness(state, m1, m2, w, None)
+    got = variant_smoothness(state, m1, m2, w)
     assert abs(got - want) < 1e-10 * max(1.0, want)
 
 
@@ -177,8 +176,8 @@ def test_coupled_smoothness_matches_dense(rng):
     m1, m2 = hull_mesh(rng, 20), hull_mesh(rng, 20)
     b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
     state = make_random_state(rng, m1, m2, b1, b2, 5)
-    w = EnergyWeights(beta=1.7)
-    got = variant_smoothness(state, m1, m2, w, None)
+    w = SolverConfig(beta=1.7)
+    got = variant_smoothness(state, m1, m2, w)
     want = coupled_smoothness_slow(state, m1, m2, w)
     assert abs(got - want) < 1e-10 * max(1.0, want)
 
@@ -194,7 +193,7 @@ def test_total_identity_fixture(sphere2, sphere2_basis):
     state.y_12 = sphere2.vertices.copy()
     state.y_21 = sphere2.vertices.copy()
     expected = 0.45 * 2.0 * dirichlet_energy(sphere2.vertices, sphere2.cot_matrix)
-    got = energy_breakdown(state, sphere2, sphere2, b, b, EnergyWeights(), 0.45)["e_total"]
+    got = energy_breakdown(state, sphere2, sphere2, b, b, SolverConfig(beta=1.0), 0.45)["e_total"]
     assert abs(got - expected) < 1e-9 * max(1.0, expected)
 
 
@@ -202,7 +201,7 @@ def test_total_gamma_zero_is_bijectivity(rng):
     m1, m2 = hull_mesh(rng, 16), hull_mesh(rng, 17)
     b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
     state = make_random_state(rng, m1, m2, b1, b2, 5)
-    w = EnergyWeights()
+    w = SolverConfig(beta=1.0)
     assert energy_breakdown(state, m1, m2, b1, b2, w, 0.0)["e_total"] == pytest.approx(
         bijectivity_energy(state, b1, b2, w), rel=1e-12
     )
@@ -213,7 +212,7 @@ def test_all_energies_nonnegative(rng):
         m1, m2 = hull_mesh(rng, 15), hull_mesh(rng, 15)
         b1, b2 = compute_basis(m1, 4), compute_basis(m2, 4)
         state = make_random_state(rng, m1, m2, b1, b2, 4)
-        parts = energy_breakdown(state, m1, m2, b1, b2, EnergyWeights(beta=0.8), 0.6)
+        parts = energy_breakdown(state, m1, m2, b1, b2, SolverConfig(beta=0.8), 0.6)
         for key, val in parts.items():
             assert val > -1e-10, key
 
@@ -222,7 +221,7 @@ def test_breakdown_total_consistent(rng):
     m1, m2 = hull_mesh(rng, 18), hull_mesh(rng, 19)
     b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
     state = make_random_state(rng, m1, m2, b1, b2, 5)
-    w, gamma = EnergyWeights(alpha=0.2, beta=1.4), 0.7
+    w, gamma = SolverConfig(alpha=0.2, beta=1.4), 0.7
     parts = energy_breakdown(state, m1, m2, b1, b2, w, gamma)
     recomposed = (
         parts["e_bij"]
@@ -237,4 +236,4 @@ def test_breakdown_total_consistent(rng):
 
 def test_weights_must_be_nonnegative():
     with pytest.raises(ValueError):
-        EnergyWeights(alpha=-0.1)
+        SolverConfig(alpha=-0.1)

@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist
 from oracles import c_step_slow, pi_step_exact_slow
 from conftest import hull_mesh, jittered_icosphere, random_map
 
-from smoothmatch.energies import EnergyWeights, bijectivity_energy, coupling_energy
+from smoothmatch.energies import bijectivity_energy, coupling_energy, energy_breakdown
 from smoothmatch.solver import (
     SolverConfig,
     SolverState,
@@ -19,7 +19,7 @@ from smoothmatch.solver import (
 from smoothmatch import solver, spectral
 from smoothmatch.spectral import PointwiseMap, compute_basis, fmap_to_p2p
 from smoothmatch.synth import farthest_point_indices, icosphere
-from smoothmatch.variants import VARIANT_KINDS, Variant
+from smoothmatch.variants import VARIANT_KINDS, Variant, run_y_step
 
 
 def identity_map(mesh):
@@ -39,13 +39,13 @@ def random_pair(rng, n1=20, n2=24, k=6):
 def test_c_step_identity(sphere2, sphere2_basis):
     b = sphere2_basis.sliced(15)
     state = SolverState(identity_map(sphere2), identity_map(sphere2))
-    c_12, c_21 = c_step(state, b, b, EnergyWeights())
+    c_12, c_21 = c_step(state, b, b, SolverConfig())
     assert np.abs(c_12 - np.eye(15)).max() < 1e-8
     assert np.abs(c_21 - np.eye(15)).max() < 1e-8
 
 
 def test_c_step_exact_minimization_lowers_energy(rng):
-    w = EnergyWeights(alpha=0.1)
+    w = SolverConfig(alpha=0.1)
     for _ in range(10):
         m1, m2, b1, b2, state = random_pair(rng)
         state.c_12 = rng.normal(size=(6, 6))
@@ -58,7 +58,7 @@ def test_c_step_exact_minimization_lowers_energy(rng):
 
 def test_c_step_matches_dense_least_squares(rng):
     m1, m2, b1, b2, state = random_pair(rng, 15, 15, 5)
-    w = EnergyWeights(alpha=0.23)
+    w = SolverConfig(alpha=0.23)
     c_12, c_21 = c_step(state, b1, b2, w)
     slow_12, slow_21 = c_step_slow(state, b1, b2, w, 5)
     assert np.abs(c_12 - slow_12).max() < 1e-9
@@ -71,7 +71,7 @@ def test_c_step_huge_alpha_dominates_coupling(rng):
     m1, m2, b1, b2, state = random_pair(rng)
     resid = {}
     for alpha in (0.1, 1e6):
-        c_12, c_21 = c_step(state, b1, b2, EnergyWeights(alpha=alpha))
+        c_12, c_21 = c_step(state, b1, b2, SolverConfig(alpha=alpha))
         resid[alpha] = coupling_energy(c_21, state.pi_12, b1, b2)
     assert resid[1e6] < 1e-3 * resid[0.1]
 
@@ -80,7 +80,7 @@ def test_c_step_alpha_zero_regularized(rng):
     # rank-deficient map image with alpha = 0 exercises the ridge path
     m1, m2, b1, b2, state = random_pair(rng)
     state.pi_21 = PointwiseMap(np.zeros(m2.n_vertices, dtype=int), m1.n_vertices)
-    c_12, c_21 = c_step(state, b1, b2, EnergyWeights(alpha=0.0))
+    c_12, c_21 = c_step(state, b1, b2, SolverConfig(alpha=0.0))
     assert np.all(np.isfinite(c_21))
 
 
@@ -89,7 +89,7 @@ def test_c_step_alpha_zero_regularized(rng):
 # ----------------------------------------------------------------------
 def test_pi_step_gamma_zero_equals_spectral_recovery(rng):
     m1, m2, b1, b2, state = random_pair(rng)
-    w = EnergyWeights()
+    w = SolverConfig()
     state.c_12, state.c_21 = c_step(state, b1, b2, w)
     state.y_12 = state.pi_12.pull(m2.vertices)
     state.y_21 = state.pi_21.pull(m1.vertices)
@@ -111,23 +111,50 @@ def test_pi_step_consistent_fixture_is_fixed_point(sphere2, sphere2_basis):
     state.y_21 = sphere2.vertices.copy()
     for exact in (False, True):
         pi_12, pi_21 = pi_step(state, sphere2, sphere2, b, b,
-                               EnergyWeights(beta=200.0), 1.0, exact=exact)
+                               SolverConfig(beta=200.0, exact_pi_step=exact), 1.0)
         assert np.array_equal(pi_12.target_of, np.arange(sphere2.n_vertices))
         assert np.array_equal(pi_21.target_of, np.arange(sphere2.n_vertices))
 
 
 def test_pi_step_exact_matches_bruteforce(rng):
     m1, m2, b1, b2, state = random_pair(rng, 20, 20, 5)
-    w, gamma = EnergyWeights(alpha=0.3, beta=1.2), 0.8
+    w, gamma = SolverConfig(alpha=0.3, beta=1.2, exact_pi_step=True), 0.8
     state.c_12 = rng.normal(size=(5, 5))
     state.c_21 = rng.normal(size=(5, 5))
     state.y_12 = rng.normal(size=(m1.n_vertices, 3))
     state.y_21 = rng.normal(size=(m2.n_vertices, 3))
-    pi_12, pi_21 = pi_step(state, m1, m2, b1, b2, w, gamma, exact=True)
+    pi_12, pi_21 = pi_step(state, m1, m2, b1, b2, w, gamma)
     slow_12 = pi_step_exact_slow(state.c_21, state.c_12, state.y_12, b1, b2, m2, w, gamma)
     slow_21 = pi_step_exact_slow(state.c_12, state.c_21, state.y_21, b2, b1, m1, w, gamma)
     assert np.array_equal(pi_12.target_of, slow_12)
     assert np.array_equal(pi_21.target_of, slow_21)
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=pytest.mark.xfail(
+        strict=True, reason="the Pi-step embedding leaves out rhm's mu |Pi_bwd Y - X|^2 term"))
+    if kind == "rhm" else kind
+    for kind in VARIANT_KINDS
+])
+def test_exact_pi_step_never_raises_total(rng, kind):
+    # at fixed K, gamma, C and Y the exact Pi-step minimizes every term
+    # of e_total that depends on the maps, so it cannot raise the total
+    config = SolverConfig(variant=Variant(kind), exact_pi_step=True, alpha=0.3, beta=2.0)
+    gamma = 0.7
+    worst = 0.0
+    for _ in range(3):
+        m1, m2, b1, b2, state = random_pair(rng, 30, 32, 8)
+        for _ in range(4):
+            state.c_12, state.c_21 = c_step(state, b1, b2, config)
+            state.y_12, state.aux_12 = run_y_step(
+                config.variant, config.beta, state.pi_12, state.pi_21, m1, m2, b1)
+            state.y_21, state.aux_21 = run_y_step(
+                config.variant, config.beta, state.pi_21, state.pi_12, m2, m1, b2)
+            before = energy_breakdown(state, m1, m2, b1, b2, config, gamma)["e_total"]
+            state.pi_12, state.pi_21 = pi_step(state, m1, m2, b1, b2, config, gamma)
+            after = energy_breakdown(state, m1, m2, b1, b2, config, gamma)["e_total"]
+            worst = max(worst, (after - before) / max(1.0, abs(before)))
+    assert worst <= 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +182,7 @@ def test_refine_monotone_energy(rng):
         alpha, gamma = rng.uniform(0.01, 3.0), rng.uniform(0.05, 2.0)
         cfg = SolverConfig(
             k_init=8, k_final=8, n_outer=10, gamma_init=gamma, gamma_final=gamma,
-            exact_pi_step=True, weights=EnergyWeights(alpha=alpha, beta=2.0),
+            exact_pi_step=True, alpha=alpha, beta=2.0,
         )
         _, _, trace = refine(state.pi_12, state.pi_21, m1, m2, b1, b2, cfg)
         e = trace.column("e_total")
@@ -245,6 +272,16 @@ def test_schedule_edge_cases():
     assert np.all(flat.gamma_schedule() == 0.0)
     with pytest.raises(ValueError, match="gamma_init"):
         SolverConfig(gamma_init=0.0, gamma_final=1.0)
+
+
+def test_config_beta_none_is_the_energy_default():
+    assert SolverConfig(variant=Variant("nicp"), alpha=0.2).beta == 0.01
+    for kind in VARIANT_KINDS:
+        assert SolverConfig(variant=Variant(kind)).beta == Variant(kind).default_beta
+    assert SolverConfig(variant=Variant("nicp"), beta=0.0).beta == 0.0
+    # the weights are checked before the schedules, as the CLI reports them
+    with pytest.raises(ValueError, match="energy weight alpha"):
+        SolverConfig(alpha=np.inf, n_outer=0)
 
 
 def test_trace_csv_roundtrip(sphere2, sphere2_basis, tmp_path):
@@ -348,7 +385,7 @@ def test_refine_shells_k_def_is_capped_by_k(sphere2, sphere2_basis):
 @pytest.mark.parametrize("beta", [1.0, 0.0])
 def test_refine_rhm_mu_zero_is_dirichlet(sphere2, sphere2_basis, beta):
     runs = [_jittered_sphere_run(sphere2, sphere2_basis, SolverConfig(
-        k_init=10, k_final=40, n_outer=4, variant=variant, weights=EnergyWeights(beta=beta)))
+        k_init=10, k_final=40, n_outer=4, variant=variant, beta=beta))
         for variant in (Variant("rhm", mu=0.0), Variant("dirichlet"))]
     assert runs[0] == runs[1]
 

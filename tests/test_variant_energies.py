@@ -4,12 +4,11 @@ import pytest
 from conftest import hull_mesh, random_map
 
 from smoothmatch.energies import (
-    EnergyWeights,
     a_norm_sq,
     dirichlet_energy,
     variant_smoothness,
 )
-from smoothmatch.solver import SolverState
+from smoothmatch.solver import SolverConfig, SolverState
 from smoothmatch.variants import (
     VARIANT_KINDS,
     Variant,
@@ -41,16 +40,16 @@ def test_nicp_operator_quadratic_form_matches_edge_sum(rng):
 
 
 def _state_with_y_steps(rng, kind, m1, m2, b1, b2):
-    variant = Variant(kind)
-    w = EnergyWeights(beta=variant.default_beta)
+    config = SolverConfig(variant=Variant(kind))
+    variant = config.variant
     state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
     state.y_12, state.aux_12 = run_y_step(
-        variant, w.beta, state.pi_12, state.pi_21, m1, m2, b1, solve=None
+        variant, config.beta, state.pi_12, state.pi_21, m1, m2, b1, solve=None
     )
     state.y_21, state.aux_21 = run_y_step(
-        variant, w.beta, state.pi_21, state.pi_12, m2, m1, b2, solve=None
+        variant, config.beta, state.pi_21, state.pi_12, m2, m1, b2, solve=None
     )
-    return variant, w, state
+    return variant, config, state
 
 
 def test_variant_smoothness_branches_match_direct_formulas(rng):
@@ -61,7 +60,7 @@ def test_variant_smoothness_branches_match_direct_formulas(rng):
 
     for kind in VARIANT_KINDS:
         variant, w, state = _state_with_y_steps(rng, kind, m1, m2, b1, b2)
-        got = variant_smoothness(state, m1, m2, w, variant)
+        got = variant_smoothness(state, m1, m2, w)
 
         couple = a_norm_sq(
             state.y_12 - state.pi_12.pull(m2.vertices), m1.vertex_areas
@@ -111,4 +110,4 @@ def test_variant_smoothness_without_aux_raises(rng, kind):
     state.y_12 = state.pi_12.pull(m2.vertices)
     state.y_21 = state.pi_21.pull(m1.vertices)
     with pytest.raises(ValueError, match="needs the Y-steps'"):
-        variant_smoothness(state, m1, m2, EnergyWeights(), Variant(kind))
+        variant_smoothness(state, m1, m2, SolverConfig(variant=Variant(kind), beta=1.0))
