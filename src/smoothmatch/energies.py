@@ -32,8 +32,6 @@ from .spectral import p2p_to_fmap
 def a_norm_sq(values, areas):
     """Area-weighted squared norm ``trace(M.T A M)`` for diagonal A."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        return float(np.dot(areas, values * values))
     return float(np.einsum("i,ij,ij->", areas, values, values))
 
 
@@ -45,8 +43,6 @@ def dirichlet_energy(coords, w):
     constant rows and grows with the stretch the map induces.
     """
     coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim == 1:
-        coords = coords[:, None]
     return float(np.einsum("ij,ij->", coords, w @ coords))
 
 

@@ -105,9 +105,6 @@ class PointwiseMap:
             and np.array_equal(self.target_of, other.target_of)
         )
 
-    def __len__(self):
-        return self.n_src
-
 
 def _fix_signs(phi):
     # first entry with |phi| > 1e-6 made positive; reproducible maps

@@ -121,14 +121,10 @@ def nicp_operator(mesh, beta):
     per vertex; the three output coordinates share this operator.
     """
     n = mesh.n_vertices
-    smooth = sparse.kron(mesh.cot_matrix, sparse.identity(4), format="csc")
     xt = np.hstack([mesh.vertices, np.ones((n, 1))])
     blocks = (beta * mesh.vertex_areas)[:, None, None] * np.einsum("ia,ib->iab", xt, xt)
-    base = 4 * np.arange(n)[:, None, None]
-    rows = (base + np.arange(4)[None, :, None] + np.zeros((1, 1, 4), dtype=np.int64)).ravel()
-    cols = (base + np.zeros((1, 4, 1), dtype=np.int64) + np.arange(4)[None, None, :]).ravel()
-    data_term = sparse.csc_matrix((blocks.ravel(), (rows, cols)), shape=(4 * n, 4 * n))
-    return smooth + data_term
+    return (sparse.kron(mesh.cot_matrix, sparse.identity(4), format="csc")
+            + sparse.bsr_matrix((blocks, np.arange(n), np.arange(n + 1))))
 
 
 def y_step_nicp(pi, mesh_src, mesh_tgt, beta, solve=None):
@@ -226,56 +222,56 @@ def arap_energy(rotations, y, mesh_src):
     )
 
 
-def y_step_arap(pi, mesh_src, mesh_tgt, beta, lam=1.0, solve=None):
+def _arap_system(pi, mesh_src, mesh_tgt, beta, lam):
+    """``Pi X_tgt``, the rotations fit to it, and the right-hand side
+    ``lam b(R) + beta A Pi X_tgt`` of ARAP's global step."""
+    pulled = pi.pull(mesh_tgt.vertices)
+    rot = arap_local_step(pulled, mesh_src)
+    rhs = lam * arap_rhs(rot, mesh_src) + beta * mesh_src.vertex_areas[:, None] * pulled
+    return pulled, rot, rhs
+
+
+def y_step_arap(pi, mesh_src, mesh_tgt, beta, lam, solve=None):
     """One local-global ARAP sweep coupled to the current map.
 
     Rotations are fit to ``Y0 = Pi X_tgt``; the global step solves
     ``(lam W + beta A) Y = lam b(R) + beta A Pi X_tgt``.
     """
-    pulled = pi.pull(mesh_tgt.vertices)
-    rot = arap_local_step(pulled, mesh_src)
-    b = arap_rhs(rot, mesh_src)
-    a = mesh_src.vertex_areas
+    pulled, rot, rhs = _arap_system(pi, mesh_src, mesh_tgt, beta, lam)
     if beta == 0:
         # translation-ambiguous: solve least-squares and pin the
         # A-weighted centroid to that of the pulled-back coordinates
+        a = mesh_src.vertex_areas
         w = sparse.csr_matrix(lam * mesh_src.cot_matrix)
-        y = np.column_stack(
-            [lsqr(w, lam * b[:, c], atol=1e-13, btol=1e-13)[0] for c in range(3)]
-        )
+        y = np.column_stack([lsqr(w, rhs[:, c], atol=1e-13, btol=1e-13)[0] for c in range(3)])
         y += _a_centroid(pulled, a) - _a_centroid(y, a)
         return rot, y
     if solve is None:
         solve = prefactored(dirichlet_operator(mesh_src, beta, lam))
-    y = solve(lam * b + beta * a[:, None] * pulled)
-    return rot, y
+    return rot, solve(rhs)
 
 
 # ----------------------------------------------------------------------
 # Smooth-shells style spectral displacement
 # ----------------------------------------------------------------------
-def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam=1.0, k_def=None):
-    """Spectral-displacement deformation with ARAP regularization.
+def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam, k_def):
+    """ARAP's global step, restricted to a spectral displacement.
 
     The update ``Y = X + Phi D`` restricts per-vertex translations to
     the first ``min(k_def, basis_src.k)`` eigenfunctions (all of them
     when ``k_def`` is None); ``D`` solves the k x k normal equations of
-    the ARAP energy (rotations fit to ``Pi X_tgt``) plus the spatial
-    coupling term, projected onto the basis.  Returns
-    ``(D, Y, rotations)``.
+    the ARAP system (rotations fit to ``Pi X_tgt``) projected onto the
+    basis.  Returns ``(D, Y, rotations)``.
     """
     k_def = basis_src.k if k_def is None else min(k_def, basis_src.k)
     x = mesh_src.vertices
     a = mesh_src.vertex_areas
     w = mesh_src.cot_matrix
-    pulled = pi.pull(mesh_tgt.vertices)
-    rot = arap_local_step(pulled, mesh_src)
-    b = arap_rhs(rot, mesh_src)
+    _, rot, global_rhs = _arap_system(pi, mesh_src, mesh_tgt, beta, lam)
 
     phi = basis_src.phi[:, :k_def]
-    op_phi = lam * (w @ phi) + beta * a[:, None] * phi
-    lhs = phi.T @ op_phi
-    rhs = phi.T @ (lam * b + beta * a[:, None] * pulled - (lam * (w @ x) + beta * a[:, None] * x))
+    lhs = phi.T @ (lam * (w @ phi) + beta * a[:, None] * phi)
+    rhs = phi.T @ (global_rhs - (lam * (w @ x) + beta * a[:, None] * x))
     if beta == 0:
         d = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     else:
@@ -286,17 +282,17 @@ def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam=1.0, k_def=None):
 # ----------------------------------------------------------------------
 # RHM (reversible-map coupling)
 # ----------------------------------------------------------------------
-def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu):
+def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu, solve=None):
     """Dirichlet Y-step with an extra pointwise reversibility pull.
 
     Minimizes ``E_D(Y) + beta |Y - Pi_fwd X_tgt|^2_{A_src}
     + mu |Pi_bwd Y - X_tgt|^2_{A_tgt}``; the reverse-map term only adds
     a diagonal (Pi_bwd is row-one-hot), so the system stays sparse SPD
-    but depends on the current map and is factored per call.
+    but depends on the current map and is factored per call.  At
+    ``mu == 0`` this is the Dirichlet Y-step, ``solve`` included.
     """
     if mu == 0:
-        # the Dirichlet Y-step, which pins beta == 0 instead of factoring the singular W
-        return y_step_dirichlet(pi_fwd, mesh_src, mesh_tgt, beta)
+        return y_step_dirichlet(pi_fwd, mesh_src, mesh_tgt, beta, solve=solve)
     n_src = mesh_src.n_vertices
     a_src = mesh_src.vertex_areas
     a_tgt = mesh_tgt.vertex_areas
@@ -354,7 +350,7 @@ def _arap_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
 
 def _y_shells(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve):
     _, y, rot = y_step_shells(pi_fwd, mesh_src, mesh_tgt, basis_src, beta, variant.lam,
-                              k_def=variant.k_def)
+                              variant.k_def)
     return y, {"rotations": rot}
 
 
@@ -369,8 +365,8 @@ def _rhm_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
 # Per energy: the default beta; the Y-step, with run_y_step's arguments,
 # returning (y, aux); the regularizer, i.e. the smoothness block minus
 # beta * e_couple_spatial; and, for beta > 0, the map-independent Y-step
-# operator, or None where the system depends on the map (rhm) or is
-# solved in the basis (shells).
+# operator, or None where the system depends on the map (rhm at mu > 0)
+# or is solved in the basis (shells).
 Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
 
 # The area-weighted coupling norm makes the spatial block scale like
@@ -398,9 +394,9 @@ ENERGIES = {
     "rhm": Energy(
         1.0,
         lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, solve: (
-            y_step_rhm(pi_fwd, pi_bwd, src, tgt, beta, v.mu), None),
+            y_step_rhm(pi_fwd, pi_bwd, src, tgt, beta, v.mu, solve=solve), None),
         _rhm_regularizer,
-        lambda v, mesh, beta: None,
+        lambda v, mesh, beta: dirichlet_operator(mesh, beta) if v.mu == 0 else None,
     ),
 }
 VARIANT_KINDS = tuple(ENERGIES)

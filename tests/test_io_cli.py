@@ -57,6 +57,23 @@ def test_index_pairs_roundtrip(tmp_path_factory, pairs):
     assert back.shape == pairs.shape and back.tobytes() == pairs.tobytes()
 
 
+@pytest.mark.parametrize("read, text, suffix", [
+    (lambda p: sm_io.read_pointwise_map(p, 5), "0 1\n2 3\n", ": expected one index per line"),
+    (sm_io.read_fmap, "", ":1: malformed functional map header"),
+    (sm_io.read_fmap, "# c\n2 2 2\n1 0\n", ":2: malformed functional map header"),
+    (sm_io.read_fmap, "2 2\n1 0\n", ": header promises 2x2, found (1, 2)"),
+    (lambda p: sm_io.read_index_pairs(p, (5, 5)), "0 1 2\n", ": expected two indices per line"),
+    (sm_io.read_ground_truth, "0 1 2\n", ": expected one or two columns"),
+], ids=["map_two_columns", "fmap_empty", "fmap_header_3_wide", "fmap_short", "pairs_3_wide",
+        "gt_3_wide"])
+def test_reader_shape_errors(tmp_path, read, text, suffix):
+    path = tmp_path / "x.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == str(path) + suffix
+
+
 # golden bytes: the exact text every writer produces for fixed inputs
 def test_pointwise_map_golden_bytes(tmp_path):
     path = tmp_path / "map.txt"
@@ -729,6 +746,37 @@ def test_batch_failed_pair_does_not_stop_the_rest(fixture_dir, tmp_path, capsys,
     assert len(status) == 2
     assert status[0].startswith("pair 1/2 ") and status[0].endswith(": exit 2")
     assert status[1].startswith("pair 2/2 ") and status[1].endswith(": ok")
+
+
+def test_batch_malformed_line_fails_up_front(fixture_dir, tmp_path, capsys):
+    # a valid line, a blank line and a 3-token line: the batch stops
+    # before any pair runs, naming the file and line
+    batch = tmp_path / "pairs.txt"
+    out = tmp_path / "first"
+    batch.write_text("%s %s %s %s\n\n%s %s %s\n" % (
+        fixture_dir / "src.off", fixture_dir / "tgt.off", fixture_dir / "lm5.txt", out,
+        fixture_dir / "src.off", fixture_dir / "tgt.off", fixture_dir / "lm5.txt"))
+    code = main(["refine", "--pairs", str(batch), "--k-init", "5", "--k-final", "10",
+                 "--iters", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s:3: batch lines must be: src tgt landmarks outdir\n" % batch
+    assert not out.exists()
+
+
+def test_refine_one_triangle_meshes_exit_2(tmp_path, capsys):
+    mesh = tmp_path / "tri.off"
+    mesh.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    lm = tmp_path / "lm.txt"
+    lm.write_text("0 0\n1 1\n")
+    out = tmp_path / "out"
+    code = main(["refine", "--src", str(mesh), "--tgt", str(mesh), "--landmarks", str(lm),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: meshes are too small to refine\n"
+    assert not out.exists()
 
 
 def test_refine_without_pairs_still_requires_flags(fixture_dir, capsys):

@@ -103,6 +103,38 @@ def test_bad_mesh_rejected_with_line(tmp_path, name, text, line, message):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("name, text, suffix", [
+    ("x.off", "", ": unexpected end of file while reading header"),
+    ("x.off", "# only a comment\n", ": unexpected end of file while reading header"),
+    ("x.off", "OFF\n", ": unexpected end of file while reading counts"),
+    ("x.off", "OFF\n3 1 0\n0 0 0\n", ": unexpected end of file while reading vertices"),
+    ("x.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n",
+     ": unexpected end of file while reading faces"),
+    ("x.off", "# c\nPLY\n3 1 0\n", ":2: not an OFF file"),
+    ("x.obj", "v 0 0 0\nv\nv 0 1 0\nf 1 2 3\n", ":2: malformed vertex line"),
+    ("x.obj", "# no records\n", ": no vertices found"),
+], ids=["off_empty", "off_comment_only", "off_no_counts", "off_short_vertices",
+        "off_short_faces", "off_bad_header", "obj_empty_vertex", "obj_no_vertices"])
+def test_truncated_or_malformed_mesh_rejected(tmp_path, name, text, suffix):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_mesh(path)
+    assert str(exc.value) == str(path) + suffix
+
+
+@pytest.mark.parametrize("vertices, faces, message", [
+    (np.zeros((3, 2)), [[0, 1, 2]], "vertices must be an (n, 3) array"),
+    (np.zeros(9), [[0, 1, 2]], "vertices must be an (n, 3) array"),
+    (np.eye(3), [[0, 1]], "faces must be an (m, 3) array"),
+    (np.eye(3), [0, 1, 2], "faces must be an (m, 3) array"),
+], ids=["vertices_2d", "vertices_flat", "faces_2_wide", "faces_flat"])
+def test_trimesh_shape_errors(vertices, faces, message):
+    with pytest.raises(ValueError) as exc:
+        TriMesh(vertices, faces)
+    assert str(exc.value) == message
+
+
 def test_obj_face_with_texture_indices(tmp_path):
     path = tmp_path / "tex.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2 3/3\n")
@@ -318,6 +350,12 @@ def test_farthest_points_match_unbounded_sampling(rng, which):
         got = farthest_point_indices(mesh, 40, start=start)
         assert got.tolist() == _farthest_points_unbounded(mesh, 40, start=start)
 
+
+
+@pytest.mark.parametrize("count", [0, 163])
+def test_farthest_points_count_out_of_range(count):
+    with pytest.raises(ValueError, match="^count out of range$"):
+        farthest_point_indices(icosphere(2), count)
 
 # ----------------------------------------------------------------------
 # normalization

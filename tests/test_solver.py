@@ -16,7 +16,7 @@ from smoothmatch.solver import (
     pi_step,
     refine,
 )
-from smoothmatch import solver, spectral
+from smoothmatch import solver, spectral, variants
 from smoothmatch.spectral import PointwiseMap, compute_basis, fmap_to_p2p
 from smoothmatch.synth import farthest_point_indices, icosphere
 from smoothmatch.variants import VARIANT_KINDS, Variant, run_y_step
@@ -252,6 +252,31 @@ def test_refine_validates_inputs(sphere2, sphere2_basis, rng):
                sphere2_basis, sphere2_basis, SolverConfig(k_final=50))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s, b: SolverConfig(n_outer=0), "n_outer must be positive"),
+    (lambda s, b: refine(identity_map(s), identity_map(s), s, s, b.sliced(40), b,
+                         SolverConfig(k_init=10, k_final=50)),
+     "bases hold 40/100 eigenpairs, need k_final=50"),
+    (lambda s, b: refine(identity_map(s), identity_map(s), s, s, b, b.sliced(49),
+                         SolverConfig(k_init=10, k_final=50)),
+     "bases hold 100/49 eigenpairs, need k_final=50"),
+    (lambda s, b: refine(identity_map(s), PointwiseMap([0, 1], s.n_vertices), s, s, b, b,
+                         SolverConfig(k_init=10, k_final=50)),
+     "pi_21 does not match the meshes"),
+    (lambda s, b: refine(identity_map(s), PointwiseMap(np.zeros(s.n_vertices), 5), s, s,
+                         b, b, SolverConfig(k_init=10, k_final=50)),
+     "pi_21 does not match the meshes"),
+    (lambda s, b: landmark_init(np.arange(6).reshape(2, 3), b, b),
+     "landmarks must be an (L, 2) index array"),
+    (lambda s, b: landmark_init(np.arange(4), b, b), "landmarks must be an (L, 2) index array"),
+], ids=["n_outer", "basis_1_small", "basis_2_small", "pi_21_src", "pi_21_tgt",
+        "landmarks_3_wide", "landmarks_flat"])
+def test_solver_input_errors(sphere2, sphere2_basis, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(sphere2, sphere2_basis)
+    assert str(exc.value) == message
+
+
 def test_schedules():
     cfg = SolverConfig(k_init=20, k_final=100, n_outer=9,
                        gamma_init=0.1, gamma_final=1.0)
@@ -388,6 +413,14 @@ def test_refine_rhm_mu_zero_is_dirichlet(sphere2, sphere2_basis, beta):
         k_init=10, k_final=40, n_outer=4, variant=variant, beta=beta))
         for variant in (Variant("rhm", mu=0.0), Variant("dirichlet"))]
     assert runs[0] == runs[1]
+
+
+def test_refine_rhm_mu_zero_factors_once_per_mesh(sphere2, sphere2_basis):
+    # at mu = 0 the RHM Y-step is the Dirichlet one, whose map-independent
+    # system refine factors once per mesh rather than once per Y-step
+    with mock.patch.object(variants, "prefactored", wraps=variants.prefactored) as factor:
+        _jittered_sphere_run(sphere2, sphere2_basis, SolverConfig(variant=Variant("rhm", mu=0.0)))
+    assert factor.call_count == 2
 
 
 def test_refine_open_boundary_meshes(rng):

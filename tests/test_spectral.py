@@ -17,6 +17,7 @@ from smoothmatch import spectral
 from smoothmatch.synth import icosphere
 from smoothmatch.spectral import (
     PointwiseMap,
+    SpectralBasis,
     compute_basis,
     eigenbasis,
     fmap_to_p2p,
@@ -431,3 +432,38 @@ def test_pointwise_map_compose():
     a = PointwiseMap([1, 2, 0], 3)
     b = PointwiseMap([2, 0, 1], 3)
     assert np.array_equal(a.compose(b).target_of, [0, 1, 2])
+
+
+# ----------------------------------------------------------------------
+# input checks
+# ----------------------------------------------------------------------
+def _zero_area(mesh):
+    areas = mesh.vertex_areas.copy()
+    areas[3] = 0.0
+    return areas
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m, b: SpectralBasis(np.zeros((4, 2)), np.zeros(3), np.ones(4)),
+     "inconsistent basis shapes"),
+    (lambda m, b: SpectralBasis(np.zeros((4, 2)), np.zeros(2), np.ones(5)),
+     "inconsistent basis shapes"),
+    (lambda m, b: PointwiseMap(np.zeros((2, 2), dtype=int), 3),
+     "target_of must be one-dimensional"),
+    (lambda m, b: PointwiseMap([0, 1], 2).compose(PointwiseMap([0, 0, 0], 1)),
+     "maps are not composable"),
+    (lambda m, b: eigenbasis(m.cot_matrix, m.vertex_areas, 0), "k must be positive"),
+    (lambda m, b: eigenbasis(m.cot_matrix, _zero_area(m), 5),
+     "mass matrix must be positive (isolated vertices?)"),
+    (lambda m, b: eigenbasis(m.cot_matrix, -m.vertex_areas, 5),
+     "mass matrix must be positive (isolated vertices?)"),
+    (lambda m, b: fmap_to_p2p(np.zeros((6, 5)), b.sliced(5), b.sliced(5)),
+     "functional map larger than the stored bases"),
+    (lambda m, b: fmap_to_p2p(np.zeros((5, 6)), b.sliced(5), b.sliced(5)),
+     "functional map larger than the stored bases"),
+], ids=["basis_phi_cols", "basis_areas", "map_2d", "compose", "k_zero", "zero_area",
+        "negative_areas", "fmap_rows", "fmap_cols"])
+def test_spectral_input_errors(sphere2, sphere2_basis, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(sphere2, sphere2_basis)
+    assert str(exc.value) == message

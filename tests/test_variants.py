@@ -332,11 +332,15 @@ def test_shells_zero_displacement_is_rest_pose(sphere2, sphere2_basis):
     assert np.array_equal(y, sphere2.vertices)
 
 
-def test_shells_projected_residual(rng):
+@pytest.mark.parametrize("beta", [0.2, 0.0])
+def test_shells_projected_residual(rng, beta):
+    # at beta = 0 the projected system is singular along the constant
+    # mode, and the least-squares branch must return its minimum-norm
+    # solution, which leaves that mode alone
     m1, m2 = hull_mesh(rng, 30), hull_mesh(rng, 30)
     basis = compute_basis(m1, 10)
     pi = random_map(rng, m1, m2)
-    beta, lam, k_def = 0.2, 1.0, 10
+    lam, k_def = 1.0, 10
     d, y, _ = y_step_shells(pi, m1, m2, basis, beta, lam, k_def)
     phi = basis.phi[:, :k_def]
     a = m1.vertex_areas
@@ -349,6 +353,8 @@ def test_shells_projected_residual(rng):
         - (lam * (m1.cot_matrix @ m1.vertices) + beta * a[:, None] * m1.vertices)
     )
     assert np.linalg.norm(op @ d - rhs) < 1e-8 * max(1.0, np.linalg.norm(rhs))
+    if beta == 0:
+        assert np.abs(d[0]).max() < 1e-12 * np.abs(d).max()
 
 
 # ----------------------------------------------------------------------
