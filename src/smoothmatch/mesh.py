@@ -146,13 +146,22 @@ class TriMesh:
         return np.column_stack([coo.row, coo.col]), -coo.data
 
     @cached_property
-    def edge_graph(self):
-        """Edge-length graph for Dijkstra: (n, n) CSR holding ``|v_i - v_j|``
-        at ``(i, j)`` for every edge ``i < j``."""
+    def edge_lengths(self):
+        """Euclidean length of every edge in :attr:`edges`, shape (e,)."""
         e = self.edges
-        lengths = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+        return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+
+    @cached_property
+    def edge_graph(self):
+        """Edge-length graph for Dijkstra: symmetric (n, n) CSR holding
+        ``|v_i - v_j|`` at ``(i, j)`` and ``(j, i)`` for every edge."""
+        # the edges (i < j) are sorted, so listing every (j, i) before
+        # every (i, j) leaves each row's columns sorted
+        e = self.edges
         n = self.n_vertices
-        return sparse.csr_matrix((lengths, (e[:, 0], e[:, 1])), shape=(n, n))
+        return sparse.csr_matrix(
+            (np.tile(self.edge_lengths, 2), (e[:, ::-1].T.ravel(), e.T.ravel())),
+            shape=(n, n))
 
 
 def cotangent_matrix(mesh):
@@ -199,7 +208,7 @@ def vertex_areas(mesh):
     return np.bincount(mesh.faces.ravel(), weights=thirds, minlength=mesh.n_vertices)
 
 
-def geodesic_distances(mesh, sources, limit=np.inf):
+def geodesic_distances(mesh, sources, limit=np.inf, within=None):
     """Shortest-path distances along mesh edges (Dijkstra).
 
     Parameters
@@ -213,18 +222,57 @@ def geodesic_distances(mesh, sources, limit=np.inf):
         enqueues tentative values within the limit, and a vertex's final
         value is a minimum over relaxations from vertices settled before
         it, all of which lie within the limit too.
+    within : sorted sequence of int, optional
+        Search only the subgraph induced by these vertices, which must
+        be strictly increasing and include every source.  Edge lengths
+        are Euclidean, so a path no longer than ``limit`` stays within
+        that Euclidean distance of its source: when ``within`` holds
+        every vertex that close to a source, the distances ``<= limit``
+        are the same floats as on the whole mesh.
 
     Returns
     -------
-    (len(sources), n) ndarray
+    (len(sources), n) ndarray, or (len(sources), len(within))
         Row ``s`` holds the distance from ``sources[s]`` to every
-        vertex; unreachable vertices, and vertices beyond ``limit``,
-        get ``inf``.
+        vertex, or to ``within[j]`` in column ``j``; unreachable
+        vertices, and vertices beyond ``limit``, get ``inf``.
     """
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if sources.size and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
+    n = mesh.n_vertices
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise ValueError("source index out of range")
-    return csgraph.dijkstra(mesh.edge_graph, directed=False, indices=sources, limit=limit)
+    graph = mesh.edge_graph
+    if within is not None:
+        within = np.asarray(within, dtype=np.int64)
+        if within.ndim != 1 or (within[1:] <= within[:-1]).any():
+            raise ValueError("within must be a strictly increasing vertex list")
+        if within.size and (within[0] < 0 or within[-1] >= n):
+            raise ValueError("within index out of range")
+        graph, position = _induced_subgraph(graph, within)
+        sources = position[sources]
+        if (sources < 0).any():
+            raise ValueError("within must contain every source")
+    # the graph is symmetric, so a directed search gives the undirected
+    # distances, without scipy transposing the graph on every call
+    return csgraph.dijkstra(graph, directed=True, indices=sources, limit=limit)
+
+
+def _induced_subgraph(graph, keep):
+    # rows `keep` of a CSR graph, without the columns outside `keep`, and
+    # renumbered by position in `keep` (each row keeps its column order);
+    # also each vertex's position in `keep`, -1 if it is not there
+    position = np.full(graph.shape[0], -1, dtype=graph.indices.dtype)
+    position[keep] = np.arange(keep.size)
+    starts = graph.indptr[keep]
+    counts = graph.indptr[keep + 1] - starts
+    ends = np.cumsum(counts)
+    at = np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
+    cols = position[graph.indices[at]]
+    found = cols >= 0
+    indptr = np.append(0, np.cumsum(found))[np.append(0, ends)]
+    sub = sparse.csr_matrix((graph.data[at[found]], cols[found], indptr),
+                            shape=(keep.size, keep.size))
+    return sub, position
 
 
 # ----------------------------------------------------------------------

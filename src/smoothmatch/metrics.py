@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .energies import dirichlet_energy
 from .mesh import geodesic_distances
 
@@ -24,6 +23,9 @@ GEODESIC_SCALE = 100.0
 # the bounded Dijkstra passes of a distance lookup reach these many mean
 # edge lengths; a last, unbounded pass takes the pairs still beyond them
 _LIMIT_EDGES = (4.0, 8.0)
+# every Dijkstra call of a lookup returns at most this many distances
+# (4 MB), or one row
+_BLOCK_ENTRIES = 500_000
 
 
 @dataclass
@@ -60,11 +62,14 @@ def _distance_lookup(mesh, from_idx, to_idx):
     from Dijkstra passes over their distinct sources: bounded passes at
     ``_LIMIT_EDGES`` mean edge lengths, each re-running only the sources
     with a pair still beyond the last limit, then one unbounded pass,
-    which leaves pairs across components inf.  Values within a limit
-    are the same floats as from an unbounded search (see
-    ``geodesic_distances``).  Sources run in chunks whose distance
-    blocks hold at most ``spectral._CHUNK_PAIRS`` entries, so memory is
-    O(chunk * n) whatever the pair count.
+    which leaves pairs across components inf.  A bounded pass searches
+    each group of nearby sources on the subgraph of the vertices that
+    can lie within the limit of them (see ``_local_blocks``); the
+    unbounded pass searches the whole mesh.  Values within a limit are
+    the same floats as from an unbounded search (see
+    ``geodesic_distances``).  No distance block holds more than
+    ``_BLOCK_ENTRIES`` entries unless it is one row, so memory is
+    bounded whatever the pair count.
     """
     from_idx = np.asarray(from_idx, dtype=np.int64)
     to_idx = np.asarray(to_idx, dtype=np.int64)
@@ -72,20 +77,110 @@ def _distance_lookup(mesh, from_idx, to_idx):
     todo = np.flatnonzero(from_idx != to_idx)
     if not todo.size:
         return out
-    # sorted by source, so each chunk of sources is one slice of the pairs
-    todo = todo[np.argsort(from_idx[todo], kind="stable")]
-    rows = max(1, spectral._CHUNK_PAIRS // mesh.n_vertices)
-    edge = mesh.edge_graph.data.mean()
+    out[todo] = np.inf
+    edge = mesh.edge_lengths.mean()
     for limit in [e * edge for e in _LIMIT_EDGES] + [np.inf]:
         uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
-        for first in range(0, uniq.size, rows):
-            lo, hi = np.searchsorted(inverse, [first, first + rows])
-            pairs = todo[lo:hi]
-            # one expression, so a block is freed before the next is built
-            out[pairs] = geodesic_distances(mesh, uniq[first:first + rows], limit=limit)[
-                inverse[lo:hi] - first, to_idx[pairs]]
-        todo = todo[~np.isfinite(out[todo])]
+        if limit == np.inf:
+            rows = max(1, _BLOCK_ENTRIES // mesh.n_vertices)
+            blocks = [(np.arange(first, min(first + rows, uniq.size)), None)
+                      for first in range(0, uniq.size, rows)]
+        elif limit > 0:
+            blocks = _local_blocks(mesh, uniq, limit)
+        else:
+            # a zero or nan limit (degenerate or non-finite edge lengths):
+            # the unbounded pass gives every value
+            continue
+        # order the pairs by block; a source in no block keeps its pairs inf
+        label = np.full(uniq.size, len(blocks))
+        for b, (members, _) in enumerate(blocks):
+            label[members] = b
+        pair_label = label[inverse]
+        order = np.argsort(pair_label, kind="stable")
+        bounds = np.searchsorted(pair_label[order], np.arange(len(blocks) + 1))
+        for b, (members, within) in enumerate(blocks):
+            pairs = todo[order[bounds[b]:bounds[b + 1]]]
+            out[pairs] = _block_lookup(mesh, uniq[members], limit, within,
+                                       from_idx[pairs], to_idx[pairs])
+        todo = todo[np.isinf(out[todo])]
+        if not todo.size:
+            break
     return out
+
+
+def _block_lookup(mesh, sources, limit, within, from_idx, to_idx):
+    # the pairs' distances from one Dijkstra block over sorted sources,
+    # inf where a target is outside `within`; the block is freed on return
+    block = geodesic_distances(mesh, sources, limit=limit, within=within)
+    rows = np.searchsorted(sources, from_idx)
+    if within is None:
+        return block[rows, to_idx]
+    cols = np.searchsorted(within, to_idx)
+    inside = np.append(within, -1)[cols] == to_idx
+    d = np.full(to_idx.shape, np.inf)
+    d[inside] = block[rows[inside], cols[inside]]
+    return d
+
+
+def _local_blocks(mesh, sources, limit):
+    """The blocks of a pass bounded at ``0 < limit < inf``: a list of
+    ``(members, within)``, where ``sources[members]`` are searched on the
+    subgraph induced by ``within``.
+
+    Sources are grouped by the cell of a grid of side ``4 * limit`` that
+    holds them.  A group's ``within`` is the vertices in its sources'
+    bounding box grown by ``r``, gathered from the group's cell and its
+    26 neighbours.  A shortest path is simple, so it has fewer than n
+    edges; each edge's float length is its true length to a few ulps,
+    and Dijkstra's sum of them rounds by at most one ulp per edge.  So
+    a path whose float length is within the limit is truly shorter than
+    ``r = limit * (1 + (n + 8) eps)``, and every vertex on it lies within
+    that Euclidean distance of its source.  The box test computes
+    ``lo - x`` and ``x - hi`` against its corners, which round
+    monotonically, so it keeps such a vertex.  It is at
+    most about a quarter cell from its source along each axis, and with
+    at most 2**20 cells per axis the cell indices are off by far less
+    than a cell, so the neighbouring cells hold it.  Sources with a
+    non-finite coordinate are in no group: a finite mean edge length
+    means that no edge meets them.  Groups are split so that no block
+    exceeds ``_BLOCK_ENTRIES`` entries.
+    """
+    verts = mesh.vertices
+    finite = np.flatnonzero(np.isfinite(verts).all(axis=1))
+    pts = verts[finite]
+    low = pts.min(axis=0)
+    side = max(4.0 * limit, float((pts.max(axis=0) - low).max()) / 2**20)
+    # cells counted from 1, so that a neighbour's index is never negative
+    cell = np.floor((pts - low) / side).astype(np.int64) + 1
+    dims = cell.max(axis=0) + 2
+    key = np.full(mesh.n_vertices, -1)
+    key[finite] = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    by_cell = finite[np.argsort(key[finite], kind="stable")]
+    sorted_key = key[by_cell]
+    # a z-run of three cells for each of the 9 (x, y) neighbour columns
+    offsets = np.add.outer(np.arange(-1, 2) * dims[1], np.arange(-1, 2)).ravel() * dims[2]
+
+    src_key = key[sources]
+    grouped = np.flatnonzero(src_key >= 0)
+    grouped = grouped[np.argsort(src_key[grouped], kind="stable")]
+    cells, first = np.unique(src_key[grouped], return_index=True)
+    runs = cells[:, None] + offsets
+    starts = np.searchsorted(sorted_key, runs - 1, side="left")
+    ends = np.searchsorted(sorted_key, runs + 1, side="right")
+    r = limit * (1.0 + (mesh.n_vertices + 8) * np.finfo(float).eps)
+    axes = np.ascontiguousarray(verts.T)
+    blocks = []
+    for members, lo, hi in zip(np.split(grouped, first[1:]), starts, ends):
+        members = np.sort(members)
+        cand = np.concatenate([by_cell[a:b] for a, b in zip(lo, hi)])
+        near = np.ones(cand.size, dtype=bool)
+        for coord in axes:
+            box, x = coord[sources[members]], coord[cand]
+            near &= (box.min() - x <= r) & (x - box.max() <= r)
+        within = np.sort(cand[near])
+        rows = max(1, _BLOCK_ENTRIES // within.size)
+        blocks += [(members[i:i + rows], within) for i in range(0, members.size, rows)]
+    return blocks
 
 
 def checked_ground_truth(gt_src, gt_tgt, n_src, n_tgt):

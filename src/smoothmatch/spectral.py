@@ -26,8 +26,7 @@ _DENSE_EIGEN_LIMIT = 400
 # nearest-neighbour queries run in blocks of query rows sized so that a
 # block's score matrix holds about this many entries: 16 MB of float32
 # scores are live at once, whatever the query count, and a candidate
-# mask is built only for each re-scored row.  The geodesic lookup in
-# ``metrics`` sizes its Dijkstra blocks by the same entry count.
+# mask is built only for each re-scored row.
 _CHUNK_PAIRS = 4_000_000
 
 
@@ -253,18 +252,19 @@ def nearest_rows(queries, data):
         screen_data[d] = sq_data
         screen_queries = np.ones((queries.shape[0], d + 1), dtype=np.float32)
         screen_queries[:, :d] = queries
+        # one score buffer for every block, so its pages are faulted in once
+        scores = np.empty((min(chunk_rows, queries.shape[0]), n), dtype=np.float32)
         for start in range(0, queries.shape[0], chunk_rows):
             rows = slice(start, start + chunk_rows)
-            out[rows] = _nearest_in_block(screen_queries[rows], screen_data,
-                                          queries[rows], data, margin[rows])
+            block = queries[rows]
+            score = np.matmul(screen_queries[rows], screen_data, out=scores[:len(block)])
+            out[rows] = _nearest_in_block(score, block, data, margin[rows])
     return out
 
 
-def _nearest_in_block(screen_block, screen_data, block, data, margin):
-    # the screen and re-score of nearest_rows for one block of queries;
-    # the score block is freed on return, before the next block's is
-    # allocated
-    score = screen_block @ screen_data
+def _nearest_in_block(score, block, data, margin):
+    # the screen and re-score of nearest_rows for one block of queries,
+    # given its float32 scores
     best = score.argmin(axis=1)
     r = np.arange(best.size)
     lowest = score[r, best]

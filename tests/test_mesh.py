@@ -327,8 +327,39 @@ def test_geodesic_limit_keeps_values_within_it(rng, edges):
     assert np.array_equal(bounded.view(np.int64), expected.view(np.int64))
 
 
+@pytest.mark.parametrize("edges", [0.0, 1.5, 4.0, 9.0])
+def test_geodesic_within_keeps_values_within_limit(rng, edges):
+    # the subgraph of the vertices within Euclidean distance `limit` of
+    # a source, plus unrelated ones, gives the whole-mesh floats up to
+    # the limit and inf beyond it
+    mesh = hull_mesh(rng, 200)
+    limit = edges * mesh.edge_lengths.mean()
+    sources = np.array([0, 17, 101, 17])
+    gap = np.linalg.norm(mesh.vertices[:, None] - mesh.vertices[sources], axis=2)
+    within = np.union1d(np.flatnonzero((gap <= limit).any(axis=1)),
+                        rng.choice(mesh.n_vertices, 20))
+    full = geodesic_distances(mesh, sources)[:, within]
+    local = geodesic_distances(mesh, sources, limit=limit, within=within)
+    expected = np.where(full <= limit, full, np.inf)
+    assert np.array_equal(local.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("within, message", [
+    ([0, 2, 1, 5], "strictly increasing"),
+    ([0, 1, 1, 5], "strictly increasing"),
+    ([[0, 1, 5]], "strictly increasing"),
+    ([-1, 0, 5], "within index out of range"),
+    ([0, 5, 162], "within index out of range"),
+    ([0, 1, 2], "within must contain every source"),
+])
+def test_geodesic_bad_within(sphere2, within, message):
+    with pytest.raises(ValueError, match=message):
+        geodesic_distances(sphere2, [0, 5], within=within)
+
+
 def test_edge_graph_is_cached(sphere2):
     assert sphere2.edge_graph is sphere2.edge_graph
+    assert (sphere2.edge_graph != sphere2.edge_graph.T).nnz == 0
     e = sphere2.edges
     d = np.linalg.norm(sphere2.vertices[e[:, 0]] - sphere2.vertices[e[:, 1]], axis=1)
     assert np.array_equal(np.asarray(sphere2.edge_graph[e[:, 0], e[:, 1]]).ravel(), d)

@@ -9,7 +9,7 @@ from scipy.spatial.transform import Rotation
 from conftest import hull_mesh, random_map, two_spheres
 from oracles import conformal_slow
 
-from smoothmatch import metrics, spectral
+from smoothmatch import metrics
 from smoothmatch.energies import dirichlet_energy
 from smoothmatch.mesh import TriMesh, geodesic_distances
 from smoothmatch.metrics import (
@@ -148,11 +148,11 @@ def test_bijectivity_matches_bruteforce(rng):
 # ----------------------------------------------------------------------
 def traced_lookup(mesh, from_idx, to_idx):
     """``_distance_lookup`` with the ``(sources, limit, block size)`` of
-    every Dijkstra call it made."""
+    every Dijkstra call it made, local or whole-mesh."""
     calls = []
 
-    def spy(mesh, sources, limit=np.inf):
-        block = geodesic_distances(mesh, sources, limit=limit)
+    def spy(mesh, sources, limit=np.inf, within=None):
+        block = geodesic_distances(mesh, sources, limit=limit, within=within)
         calls.append((np.asarray(sources), limit, block.size))
         return block
 
@@ -163,13 +163,20 @@ def traced_lookup(mesh, from_idx, to_idx):
 
 def assert_lookup_exact(mesh, from_idx, to_idx):
     # bit-for-bit against one unbounded Dijkstra per distinct source,
-    # inf positions included
+    # inf positions included; every block within the entry budget
+    # unless it is a single row; and each pass searches each source
+    # once, exactly the sources with a pair beyond the last pass's limit
     d, calls = traced_lookup(mesh, from_idx, to_idx)
     uniq, inverse = np.unique(from_idx, return_inverse=True)
     expected = geodesic_distances(mesh, uniq)[inverse, to_idx]
     assert np.array_equal(d.view(np.int64), expected.view(np.int64))
-    for _, _, size in calls:
-        assert size <= max(spectral._CHUNK_PAIRS, mesh.n_vertices)
+    for sources, _, size in calls:
+        assert len(sources) == 1 or size <= metrics._BLOCK_ENTRIES
+    beyond = np.asarray(from_idx) != np.asarray(to_idx)
+    for limit in dict.fromkeys(limit for _, limit, _ in calls):
+        searched = np.concatenate([s for s, lim, _ in calls if lim == limit])
+        assert np.array_equal(np.sort(searched), np.unique(np.asarray(from_idx)[beyond]))
+        beyond &= expected > limit
     return calls
 
 
@@ -182,10 +189,47 @@ def test_lookup_antipodal_runs_every_pass():
     sphere = icosphere(3)
     anti = np.argmin(sphere.vertices @ sphere.vertices.T, axis=1)
     calls = assert_lookup_exact(sphere, np.arange(sphere.n_vertices), anti)
-    edge = sphere.edge_graph.data.mean()
-    assert [limit for _, limit, _ in calls] == [4.0 * edge, 8.0 * edge, np.inf]
-    # every pass re-runs only sources with a pair still beyond the limit
-    assert all(len(a) >= len(b) for (a, _, _), (b, _, _) in zip(calls, calls[1:]))
+    edge = sphere.edge_lengths.mean()
+    limits = [limit for _, limit, _ in calls]
+    assert limits == sorted(limits)
+    assert list(dict.fromkeys(limits)) == [4.0 * edge, 8.0 * edge, np.inf]
+    # a pass is several calls; it re-runs only sources with a pair
+    # still beyond the last limit
+    passes = [np.concatenate([s for s, lim, _ in calls if lim == limit])
+              for limit in dict.fromkeys(limits)]
+    assert all(np.isin(b, a).all() for a, b in zip(passes, passes[1:]))
+
+
+def test_lookup_bounded_pass_searches_local_subgraphs():
+    # pairs along edges all resolve in the first pass, whose blocks are
+    # narrower than the mesh: each group of sources searches only the
+    # vertices near it
+    sphere = icosphere(4)
+    e = sphere.edges
+    calls = assert_lookup_exact(sphere, e[:, 0], e[:, 1])
+    assert len(calls) > 1
+    assert {limit for _, limit, _ in calls} == {4.0 * sphere.edge_lengths.mean()}
+    assert all(size <= len(s) * sphere.n_vertices // 2 for s, _, size in calls)
+
+
+@st.composite
+def _displaced_maps(draw):
+    """A hull mesh and pairs whose targets are their sources' vertices
+    moved by 0-10 mean edge lengths, snapped to the nearest vertex."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh = hull_mesh(rng, draw(st.integers(20, 2000)))
+    edges = draw(st.floats(0.0, 10.0))
+    from_idx = rng.integers(0, mesh.n_vertices, draw(st.integers(1, 600)))
+    step = rng.normal(size=(from_idx.size, 3))
+    step *= edges * mesh.edge_lengths.mean() / np.linalg.norm(step, axis=1, keepdims=True)
+    to_idx = cKDTree(mesh.vertices).query(mesh.vertices[from_idx] + step)[1]
+    return mesh, from_idx, to_idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(_displaced_maps())
+def test_lookup_displaced_maps(case):
+    assert_lookup_exact(*case)
 
 
 def test_lookup_random_map(rng):
@@ -221,7 +265,7 @@ def test_lookup_one_row_chunks(rng):
     mesh = hull_mesh(rng, 120)
     from_idx = rng.integers(0, mesh.n_vertices, 400)
     to_idx = rng.integers(0, mesh.n_vertices, 400)
-    with mock.patch.object(spectral, "_CHUNK_PAIRS", mesh.n_vertices):
+    with mock.patch.object(metrics, "_BLOCK_ENTRIES", 1):
         calls = assert_lookup_exact(mesh, from_idx, to_idx)
     assert {len(sources) for sources, _, _ in calls} == {1}
 

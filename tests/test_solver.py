@@ -244,9 +244,9 @@ def test_refine_validates_inputs(sphere2, sphere2_basis, rng):
     small = hull_mesh(rng, 10)
     b_small = compute_basis(small, 4)
     ident = identity_map(sphere2)
-    with pytest.raises(ValueError, match="k_final"):
+    with pytest.raises(ValueError, match="bases hold 4/4 eigenpairs, need k_final=10"):
         refine(ident, ident, sphere2, sphere2, b_small, b_small,
-               SolverConfig(k_final=10))
+               SolverConfig(k_init=4, k_final=10))
     with pytest.raises(ValueError, match="does not match"):
         refine(identity_map(small), ident, sphere2, sphere2,
                sphere2_basis, sphere2_basis, SolverConfig(k_final=50))
