@@ -115,7 +115,11 @@ class TriMesh:
         f = self.faces
         pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         pairs.sort(axis=1)
-        return np.unique(pairs, axis=0)
+        # the key i * n + j sorts like the row (i, j), so one 1-D unique
+        # gives np.unique(pairs, axis=0) without its row sort
+        n = self.n_vertices
+        key = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        return np.column_stack([key // n, key % n])
 
     def normalized(self):
         """Copy translated to centroid origin and scaled to unit area."""

@@ -171,20 +171,30 @@ def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, config, gam
     #   (+ |(Phi_tgt C_other)[p] - Phi_src[q]|^2 in exact mode)
     # rhm's gamma mu |Pi_bwd Y_other - X_src|^2 term is left out, so the
     # exact mode is not exact for rhm
-    sa = np.sqrt(config.alpha)
-    query = [sa * (basis_src.phi @ c_own)]
-    data = [sa * basis_tgt.phi]
+    # each embedding is written block by block into one array, so no
+    # per-block copy is alive during the search
+    spatial = gamma * config.beta != 0
+    k_own = c_own.shape[1]
+    k_other = c_other.shape[1] if config.exact_pi_step else 0
+    width = k_own + (3 if spatial else 0) + k_other
+    query = np.empty((basis_src.n, width))
+    data = np.empty((basis_tgt.n, width))
 
-    if gamma * config.beta != 0:
+    sa = np.sqrt(config.alpha)
+    np.matmul(basis_src.phi, c_own, out=query[:, :k_own])
+    query[:, :k_own] *= sa
+    np.multiply(basis_tgt.phi, sa, out=data[:, :k_own])
+
+    if spatial:
         s = np.sqrt(gamma * config.beta)
-        query.append(s * y)
-        data.append(s * mesh_tgt.vertices)
+        np.multiply(y, s, out=query[:, k_own:k_own + 3])
+        np.multiply(mesh_tgt.vertices, s, out=data[:, k_own:k_own + 3])
 
     if config.exact_pi_step:
-        query.append(basis_src.phi)
-        data.append(basis_tgt.phi @ c_other)
+        query[:, width - k_other:] = basis_src.phi
+        np.matmul(basis_tgt.phi, c_other, out=data[:, width - k_other:])
 
-    idx = nearest_rows(np.hstack(query), np.hstack(data))
+    idx = nearest_rows(query, data)
     return PointwiseMap(idx, mesh_tgt.n_vertices)
 
 
@@ -242,7 +252,8 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
     solves = []
     for mesh in (mesh_1, mesh_2):
         op = variant.energy.operator(variant, mesh, beta) if beta > 0 else None
-        solves.append(_variants.prefactored(op) if op is not None else None)
+        solves.append(None if op is None
+                      else _variants.prefactored(op, op.shape[0] // mesh.n_vertices))
 
     state = SolverState(pi_12, pi_21)
     trace = EnergyTrace()

@@ -24,10 +24,11 @@ from scipy.spatial.distance import cdist
 _DENSE_EIGEN_LIMIT = 400
 
 # nearest-neighbour queries run in blocks of query rows sized so that a
-# block's score matrix holds about this many entries: 16 MB of float32
+# block's score matrix holds about this many entries: 2 MB of float32
 # scores are live at once, whatever the query count, and a candidate
-# mask is built only for each re-scored row.
-_CHUNK_PAIRS = 4_000_000
+# mask is built only for each re-scored row.  Smaller blocks were slower
+# on 2 500-5 000-vertex pairs.
+_CHUNK_PAIRS = 500_000
 
 
 class SpectralBasis:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from oracles import cot_weights_slow, dijkstra_slow
 from conftest import hull_mesh, two_spheres
@@ -355,6 +356,47 @@ def test_geodesic_within_keeps_values_within_limit(rng, edges):
 def test_geodesic_bad_within(sphere2, within, message):
     with pytest.raises(ValueError, match=message):
         geodesic_distances(sphere2, [0, 5], within=within)
+
+
+def _edges_by_rows(mesh):
+    # reference: the unique sorted face pairs, deduplicated as rows
+    f = mesh.faces
+    pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    pairs.sort(axis=1)
+    return np.unique(pairs, axis=0)
+
+
+def _assert_edges_by_rows(mesh):
+    ref = _edges_by_rows(mesh)
+    got = mesh.edges
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    lengths = np.linalg.norm(mesh.vertices[ref[:, 0]] - mesh.vertices[ref[:, 1]], axis=1)
+    assert mesh.edge_lengths.tobytes() == lengths.tobytes()
+    n = mesh.n_vertices
+    graph = sparse.csr_matrix((np.tile(lengths, 2), (ref[:, ::-1].T.ravel(), ref.T.ravel())),
+                              shape=(n, n))
+    for part in ("indptr", "indices", "data"):
+        assert getattr(mesh.edge_graph, part).tobytes() == getattr(graph, part).tobytes()
+
+
+@pytest.mark.parametrize("which", ["icosphere", "hull", "grid"])
+def test_edges_equal_row_unique(rng, which):
+    from tests_grid import grid_mesh
+
+    mesh = {"icosphere": lambda: icosphere(3),
+            "hull": lambda: hull_mesh(rng, 2000),
+            "grid": lambda: grid_mesh(9, 7)}[which]()
+    _assert_edges_by_rows(mesh)
+
+
+@pytest.mark.filterwarnings("ignore:.*isolated vertices")
+@settings(max_examples=50, deadline=None)
+@given(mesh=_meshes())
+def test_edges_equal_row_unique_random_faces(mesh):
+    # any finite coordinates: lengths may overflow to inf on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_edges_by_rows(mesh)
 
 
 def test_edge_graph_is_cached(sphere2):

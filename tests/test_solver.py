@@ -157,6 +157,49 @@ def test_exact_pi_step_never_raises_total(rng, kind):
     assert worst <= 1e-9
 
 
+def _pi_embedding_by_blocks(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, config, gamma):
+    # the Pi-step embedding as one array per block, then np.hstack
+    sa = np.sqrt(config.alpha)
+    query = [sa * (basis_src.phi @ c_own)]
+    data = [sa * basis_tgt.phi]
+    if gamma * config.beta != 0:
+        s = np.sqrt(gamma * config.beta)
+        query.append(s * y)
+        data.append(s * mesh_tgt.vertices)
+    if config.exact_pi_step:
+        query.append(basis_src.phi)
+        data.append(basis_tgt.phi @ c_other)
+    return np.hstack(query), np.hstack(data)
+
+
+@pytest.mark.parametrize("exact, beta, gamma", [
+    (False, 200.0, 0.4), (True, 200.0, 0.4), (False, 200.0, 0.0), (True, 0.0, 0.4),
+], ids=["default", "exact", "gamma_zero", "exact_beta_zero"])
+def test_pi_direction_embedding_bits(exact, beta, gamma):
+    # the embedding written block by block in place holds the same floats
+    # as stacking the blocks, so the search gets the same arguments
+    m1, m2 = jittered_icosphere(3, 0.25, seed=3)
+    b1, b2 = compute_basis(m1, 40).sliced(30), compute_basis(m2, 40).sliced(30)
+    rng = np.random.default_rng(5)
+    c_own, c_other = rng.normal(size=(2, 30, 30))
+    y = rng.normal(size=(m1.n_vertices, 3))
+    config = SolverConfig(exact_pi_step=exact, alpha=0.3, beta=beta)
+    calls = []
+
+    def record(queries, data):
+        calls.append((queries, data))
+        return spectral.nearest_rows(queries, data)
+
+    with mock.patch.object(solver, "nearest_rows", side_effect=record):
+        pi = solver._pi_direction(c_own, c_other, y, b1, b2, m2, config, gamma)
+    (queries, data), = calls
+    ref_queries, ref_data = _pi_embedding_by_blocks(c_own, c_other, y, b1, b2, m2, config, gamma)
+    for got, ref in ((queries, ref_queries), (data, ref_data)):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(pi.target_of, spectral.nearest_rows(ref_queries, ref_data))
+
+
 # ----------------------------------------------------------------------
 # refine
 # ----------------------------------------------------------------------
@@ -421,6 +464,15 @@ def test_refine_rhm_mu_zero_factors_once_per_mesh(sphere2, sphere2_basis):
     with mock.patch.object(variants, "prefactored", wraps=variants.prefactored) as factor:
         _jittered_sphere_run(sphere2, sphere2_basis, SolverConfig(variant=Variant("rhm", mu=0.0)))
     assert factor.call_count == 2
+
+
+@pytest.mark.parametrize("kind, block", [("nicp", 4), ("dirichlet", 1), ("arap", 1)])
+def test_refine_factors_in_vertex_blocks(sphere2, sphere2_basis, kind, block):
+    # one factor per mesh, with as many unknowns per vertex as the system has
+    with mock.patch.object(variants, "prefactored", wraps=variants.prefactored) as factor:
+        _jittered_sphere_run(sphere2, sphere2_basis, SolverConfig(
+            k_init=10, k_final=40, n_outer=2, variant=Variant(kind)))
+    assert [call.args[1] for call in factor.call_args_list] == [block, block]
 
 
 def test_refine_open_boundary_meshes(rng):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -191,7 +192,7 @@ def test_nearest_matches_bruteforce(rng):
 
 
 def test_nearest_large_low_dim_matches_bruteforce(rng):
-    # 6000 x 5000 pairs in 3-D: exact over eight query blocks
+    # 6000 x 5000 pairs in 3-D: exact over 60 query blocks
     queries = rng.normal(size=(6000, 3))
     data = rng.normal(size=(5000, 3))
     fast = nearest_rows(queries, data)
@@ -208,11 +209,30 @@ def test_nearest_tie_breaks_to_smaller_index():
 
 def test_nearest_large_low_dim_ties_to_smaller_index(rng):
     # duplicate rows resolve to the smallest data index in every one of
-    # the seven query blocks of a 5000 x 5100 search
+    # the 52 query blocks of a 5000 x 5100 search
     base = rng.normal(size=(5000, 3))
     data = np.vstack([base, base[:100]])
     out = nearest_rows(base, data)
     assert np.array_equal(out, np.arange(5000))
+
+
+def test_nearest_memory_bounded_by_score_block(rng):
+    # a call holds one float32 score block of at most _CHUNK_PAIRS
+    # entries (2 MB), the two float32 screen copies of its operands and a
+    # few per-row vectors; at 4 M pairs per block this call peaked at
+    # 17.3 MB, at 500 000 at 3.3 MB
+    queries = rng.normal(size=(6000, 20))
+    data = rng.normal(size=(6000, 20))
+    rows = queries.shape[0] + data.shape[0]
+    bound = 4 * spectral._CHUNK_PAIRS + 4 * rows * (data.shape[1] + 1) + 64 * rows
+    tracemalloc.start()
+    try:
+        nearest_rows(queries, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert 4 * spectral._CHUNK_PAIRS <= 2_000_000
 
 
 def test_nearest_permutation_covariant(rng):

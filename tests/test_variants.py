@@ -48,10 +48,13 @@ def test_prefactored_singular_matrix_raises(caplog):
     assert not caplog.records
 
 
+# operator and unknowns per vertex; nicp_blocks is the vertex-block
+# factor refine uses for nicp
 OPERATORS = {
-    "dirichlet": lambda m: dirichlet_operator(m, 200.0),
-    "arap": lambda m: dirichlet_operator(m, 0.1, 2.0),
-    "nicp": lambda m: nicp_operator(m, 1e-2),
+    "dirichlet": (lambda m: dirichlet_operator(m, 200.0), 1),
+    "arap": (lambda m: dirichlet_operator(m, 0.1, 2.0), 1),
+    "nicp": (lambda m: nicp_operator(m, 1e-2), 1),
+    "nicp_blocks": (lambda m: nicp_operator(m, 1e-2), 4),
 }
 
 
@@ -62,17 +65,17 @@ def test_prefactored_matches_spsolve(kind, mesh_name):
         mesh = icosphere(3).normalized()
     else:
         mesh = hull_mesh(np.random.default_rng(20240817), 300)
-    op = sparse.csc_matrix(OPERATORS[kind](mesh))
+    operator, block = OPERATORS[kind]
+    op = sparse.csc_matrix(operator(mesh))
     rhs = np.random.default_rng(0).normal(size=(op.shape[0], 3))
-    x = prefactored(op)(rhs)
+    x = prefactored(op, block)(rhs)
     ref = spsolve(op, rhs)
     assert np.linalg.norm(op @ x - rhs) < 1e-9 * np.linalg.norm(rhs)
     assert np.linalg.norm(x - ref) < 1e-7 * np.linalg.norm(ref)
 
 
-def test_prefactored_fill_below_colamd(monkeypatch):
-    # the symmetric minimum-degree order fills about 0.7x a COLAMD LU here
-    mat = sparse.csc_matrix(nicp_operator(icosphere(3).normalized(), 1e-2))
+def _factor_fill(monkeypatch, mat, block):
+    # L + U entries of the factor prefactored solves with (its last splu)
     factors = []
 
     def splu_spy(*args, **kwargs):
@@ -80,10 +83,40 @@ def test_prefactored_fill_below_colamd(monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(variants, "splu", splu_spy)
-    prefactored(mat)
-    (lu,) = factors
+    prefactored(mat, block)
+    monkeypatch.undo()
+    assert factors[-1].shape == mat.shape
+    return factors[-1].L.nnz + factors[-1].U.nnz
+
+
+def test_prefactored_fill_below_colamd(monkeypatch):
+    # the vertex-block minimum-degree order fills about 0.7x a COLAMD LU here
+    mat = sparse.csc_matrix(nicp_operator(icosphere(3).normalized(), 1e-2))
     colamd = splu(mat)
-    assert lu.L.nnz + lu.U.nnz < 0.8 * (colamd.L.nnz + colamd.U.nnz)
+    assert _factor_fill(monkeypatch, mat, 4) < 0.8 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_prefactored_vertex_blocks_fill_below_scalar_order(monkeypatch):
+    # on a hull the vertex-block order fills about 0.8x a minimum-degree
+    # order of the whole nicp operator (on icosphere(3) the two are even)
+    mat = sparse.csc_matrix(nicp_operator(hull_mesh(np.random.default_rng(7), 2000), 1e-2))
+    assert _factor_fill(monkeypatch, mat, 4) < 0.9 * _factor_fill(monkeypatch, mat, 1)
+
+
+@pytest.mark.parametrize("subdivisions, repeats", [(4, 3), (5, 1)])
+def test_prefactored_vertex_blocks_faster_than_scalar_order(subdivisions, repeats):
+    # supernodes over the 4 x 4 vertex blocks factor icosphere(4) and
+    # icosphere(5) nicp in 0.55-0.75x the time of the scalar path; at
+    # SuperLU's default relaxation the icosphere(5) block factor took
+    # about 3x as long as the scalar one
+    mat = sparse.csc_matrix(nicp_operator(icosphere(subdivisions).normalized(), 1e-2))
+    times = {1: [], 4: []}
+    for _ in range(repeats):
+        for block in times:
+            start = time.perf_counter()
+            prefactored(mat, block)
+            times[block].append(time.perf_counter() - start)
+    assert min(times[4]) < min(times[1])
 
 
 def test_prefactored_factor_time_against_colamd():
@@ -157,6 +190,24 @@ def test_nicp_translation_fixture(rng):
     # recovered transform is the constant translation
     assert np.abs(d[:, :, :3] - np.eye(3)).max() < 1e-8
     assert np.abs(d[:, :, 3] - t).max() < 1e-8
+
+
+def test_nicp_unfactored_solve_uses_vertex_blocks(rng, monkeypatch):
+    m1, m2 = hull_mesh(rng, 40), hull_mesh(rng, 45)
+    pi = random_map(rng, m1, m2)
+    factor = variants.prefactored
+    blocks = []
+
+    def spy(mat, block=1):
+        blocks.append(block)
+        return factor(mat, block)
+
+    monkeypatch.setattr(variants, "prefactored", spy)
+    d, y = y_step_nicp(pi, m1, m2, 1e-2)
+    monkeypatch.undo()
+    assert blocks == [4]
+    d_ref, y_ref = y_step_nicp(pi, m1, m2, 1e-2, solve=factor(nicp_operator(m1, 1e-2), 4))
+    assert np.array_equal(d, d_ref) and np.array_equal(y, y_ref)
 
 
 def test_nicp_beta_zero_identity_transforms(rng):
