@@ -175,6 +175,12 @@ def _cmd_refine(args):
     config = _refine_config(args)
     mesh_1 = load_mesh(_require(args.src, "source mesh"), normalize=not args.no_normalize)
     mesh_2 = load_mesh(_require(args.tgt, "target mesh"), normalize=not args.no_normalize)
+    for path, mesh in ((args.src, mesh_1), (args.tgt, mesh_2)):
+        # the bases weight every vertex by its area
+        flat = np.flatnonzero(mesh.vertex_areas <= 0)
+        if flat.size:
+            raise ValueError("%s: vertex %d has zero area (it is in no face, or only in "
+                             "zero-area faces)" % (path, flat[0]))
     # every input file is read and checked before any work is done
     if args.landmarks:
         pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"),

@@ -22,7 +22,12 @@ smoothness block.  The functions below read ``alpha``, ``beta`` and the
 active energy from the ``SolverConfig`` they are given (the smoothness
 block comes from ``config.variant.energy``); ``gamma`` follows the
 solver's schedule, one value per iteration, and is passed explicitly.
+
+The terms that depend on the maps are stated once, in ``map_terms``;
+the report sums them, and the Pi-step stacks them into its embedding.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -58,50 +63,84 @@ def coupling_energy(c, pi, basis_src, basis_tgt):
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def _bij_pair_terms(pi_back, c_back, c_fwd, basis_i, basis_j):
-    # one ordered direction (i, j): pi_back = Pi_ji, c_back = C_ji,
-    # c_fwd = C_ij; both norms are A_j-weighted
-    k_i, k_j = c_back.shape
-    phi_i = basis_i.phi[:, :k_i]
-    phi_j = basis_j.phi[:, :k_j]
-    pulled = phi_i[pi_back.target_of]                  # Pi_ji Phi_i
-    bij = a_norm_sq(pulled @ c_back - phi_j, basis_j.areas)
-    couple = a_norm_sq(phi_j @ c_fwd - pulled, basis_j.areas)
-    return bij, couple
+# one map-dependent term of e_total for the map pi from src to tgt:
+# |query - data[pi]|^2 in the source's area norm, weighted by ``weight``
+# in e_total; an operand (a, b) stands for a @ b.  The Pi-step scales
+# each block by sqrt(weight), so for every variant the spatial block is
+# sqrt(gamma*beta) * Y against sqrt(gamma*beta) * X_tgt.  rhm's
+# mu |Pi_bwd Y - X|^2 term depends on the map too but is not among them,
+# so the exact Pi-step is not exact for rhm.
+Term = namedtuple("Term", "column weight query data")
 
 
-def bijectivity_terms(state, basis_1, basis_2):
-    """Raw (unweighted) bijectivity and spectral-coupling sums."""
-    b12, c12 = _bij_pair_terms(state.pi_21, state.c_21, state.c_12, basis_1, basis_2)
-    b21, c21 = _bij_pair_terms(state.pi_12, state.c_12, state.c_21, basis_2, basis_1)
-    return b12 + b21, c12 + c21
+def map_terms(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma):
+    """The map-dependent terms of ``e_total`` for the map src -> tgt, whose
+    pull-back is ``c_own`` (``c_other`` is the reverse map's), in the
+    Pi-step's stacking order: spectral coupling (weight alpha), spatial
+    coupling (weight gamma * beta), bijectivity (weight 1).  Without the
+    bases or the target vertices (None), their terms are left out."""
+    spatial = [] if x_tgt is None else [Term("e_couple_spatial", gamma * config.beta, y, x_tgt)]
+    if phi_src is None:
+        return spatial
+    phi_src, phi_tgt = phi_src[:, :c_own.shape[0]], phi_tgt[:, :c_own.shape[1]]
+    return [Term("e_couple_spec", config.alpha, (phi_src, c_own), phi_tgt), *spatial,
+            Term("e_bij", 1.0, phi_src, (phi_tgt, c_other))]
+
+
+def pi_step_terms(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma):
+    """The ``map_terms`` the Pi-step minimizes: the spectral coupling, the
+    spatial one when weighted, bijectivity with ``config.exact_pi_step``."""
+    spec, spatial, bij = map_terms(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma)
+    return [spec] + [spatial] * (spatial.weight != 0) + [bij] * config.exact_pi_step
+
+
+def _value(operand):
+    return operand[0] @ operand[1] if isinstance(operand, tuple) else operand
+
+
+def map_term_sums(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
+    """Raw sums over both maps of each of the ``map_terms``, by column; in
+    the bases' area norm, or the meshes' when the bases are None."""
+    sums = {}
+    for pi, c_own, c_other, y, b_src, b_tgt, m_src, m_tgt in (
+            (state.pi_12, state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_1, mesh_2),
+            (state.pi_21, state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_2, mesh_1)):
+        # the target rows are pulled back once, so each data operand is
+        # already data[pi] and (a, b) is a[pi] @ b; (a @ b)[pi] can differ
+        # from it in the last bit, which would move the trace
+        phi = (None, None) if b_src is None else (b_src.phi, pi.pull(b_tgt.phi))
+        x_tgt = None if m_tgt is None else pi.pull(m_tgt.vertices)
+        areas = m_src.vertex_areas if b_src is None else b_src.areas
+        for term in map_terms(c_own, c_other, y, *phi, x_tgt, config, gamma):
+            # a product on the left lets numpy subtract into its temporary
+            diff = (_value(term.data) - _value(term.query) if isinstance(term.data, tuple)
+                    else _value(term.query) - _value(term.data))
+            sums[term.column] = sums.get(term.column, 0.0) + a_norm_sq(diff, areas)
+    return sums
 
 
 def bijectivity_energy(state, basis_1, basis_2, config):
     """Spectral bijectivity energy over both directions, at ``config.alpha``."""
-    bij, couple = bijectivity_terms(state, basis_1, basis_2)
-    return bij + config.alpha * couple
+    sums = map_term_sums(state, None, None, basis_1, basis_2, config, 0.0)
+    return sums["e_bij"] + config.alpha * sums["e_couple_spec"]
 
 
-def smoothness_terms(state, mesh_1, mesh_2):
-    """Raw Dirichlet and spatial-coupling sums over both directions."""
-    e_d = dirichlet_energy(state.y_12, mesh_1.cot_matrix) + dirichlet_energy(
-        state.y_21, mesh_2.cot_matrix
-    )
-    e_c = a_norm_sq(
-        state.y_12 - state.pi_12.pull(mesh_2.vertices), mesh_1.vertex_areas
-    ) + a_norm_sq(state.y_21 - state.pi_21.pull(mesh_1.vertices), mesh_2.vertex_areas)
-    return e_d, e_c
+def _dirichlet_sum(state, mesh_1, mesh_2):
+    return dirichlet_energy(state.y_12, mesh_1.cot_matrix) + dirichlet_energy(
+        state.y_21, mesh_2.cot_matrix)
 
 
 def variant_smoothness(state, mesh_1, mesh_2, config, terms=None):
     """Coupled smoothness block of ``config.variant`` at ``config.beta``.
 
-    ``terms`` may pass in the ``smoothness_terms`` of ``state`` when the
-    caller has them.  Energies with auxiliary unknowns (nicp, arap,
-    shells) raise ValueError on a state whose Y-steps left none.
+    ``terms`` may pass in the raw ``(e_dirichlet, e_couple_spatial)`` of
+    ``state`` when the caller has them.  Energies with auxiliary unknowns
+    (nicp, arap, shells) raise ValueError on a state whose Y-steps left
+    none.
     """
-    e_d, e_couple = smoothness_terms(state, mesh_1, mesh_2) if terms is None else terms
+    e_d, e_couple = terms if terms is not None else (
+        _dirichlet_sum(state, mesh_1, mesh_2),
+        map_term_sums(state, mesh_1, mesh_2, None, None, config, 1.0)["e_couple_spatial"])
     variant = config.variant
     return variant.energy.regularizer(state, mesh_1, mesh_2, variant, e_d) + config.beta * e_couple
 
@@ -116,17 +155,12 @@ def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
         e_total = e_bij + alpha * e_couple_spec
                   + gamma * (e_dirichlet + beta * e_couple_spatial).
     """
-    bij, couple_spec = bijectivity_terms(state, basis_1, basis_2)
-    e_d, couple_spatial = smoothness_terms(state, mesh_1, mesh_2)
-    e_sm = variant_smoothness(state, mesh_1, mesh_2, config, (e_d, couple_spatial))
-    total = bij + config.alpha * couple_spec + gamma * e_sm
-    return {
-        "e_bij": bij,
-        "e_couple_spec": couple_spec,
-        "e_dirichlet": e_d,
-        "e_couple_spatial": couple_spatial,
-        "e_total": total,
-    }
+    sums = map_term_sums(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma)
+    e_d = _dirichlet_sum(state, mesh_1, mesh_2)
+    e_sm = variant_smoothness(state, mesh_1, mesh_2, config, (e_d, sums["e_couple_spatial"]))
+    total = sums["e_bij"] + config.alpha * sums["e_couple_spec"] + gamma * e_sm
+    return {"e_bij": sums["e_bij"], "e_couple_spec": sums["e_couple_spec"], "e_dirichlet": e_d,
+            "e_couple_spatial": sums["e_couple_spatial"], "e_total": total}
 
 
 def format_breakdown(parts):

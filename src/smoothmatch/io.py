@@ -127,25 +127,6 @@ def write_fmap(path, c):
     _savetxt(path, c, fmt="%.17g", header="%d %d" % c.shape, comments="")
 
 
-def read_fmap(path):
-    header_of = partial(_content_lines, path, 0, 1)
-    with _text(path) as fh:
-        header = _table(path, [_next_content_line(fh)], np.int64, None,
-                        "functional map header", header_of)
-        if header.shape != (1, 2):
-            lines = header_of()[0]
-            raise ValueError("%s:%d: malformed functional map header"
-                             % (path, lines[0] if lines.size else 1))
-        rows, cols = header[0]
-        c = _table(path, fh, np.float64, None, "functional map",
-                   partial(_content_lines, path, 1))
-    if c.shape != (rows, cols):
-        raise ValueError(
-            "%s: header promises %dx%d, found %s" % (path, rows, cols, c.shape)
-        )
-    return c
-
-
 def write_index_pairs(path, pairs):
     _savetxt(path, np.asarray(pairs, dtype=np.int64), fmt="%d")
 

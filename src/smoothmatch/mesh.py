@@ -125,7 +125,10 @@ class TriMesh:
         """Copy translated to centroid origin and scaled to unit area."""
         scale = 1.0 / np.sqrt(self.area)
         verts = (self.vertices - self.surface_centroid) * scale
-        return TriMesh(verts, self.faces)
+        with warnings.catch_warnings():
+            # this mesh has already warned about its isolated vertices
+            warnings.simplefilter("ignore", UserWarning)
+            return TriMesh(verts, self.faces)
 
     # ------------------------------------------------------------------
     # operators (cached)

@@ -6,10 +6,10 @@ objective (bijectivity plus gamma times coupled smoothness):
 1. C-step: both functional maps in closed form (K x K SPD systems).
 2. Y-step: the active variant's sparse solve, one per direction, with
    the surrogate coordinates re-seeded from the freshest maps.
-3. Pi-step: per-vertex nearest-neighbor assignment in a concatenated
-   spectral/spatial embedding (row-separable exact minimization when
-   ``exact_pi_step`` is on; the default drops the first bijectivity
-   block, keeping only coupling terms, which is much smaller).
+3. Pi-step: per-vertex nearest-neighbor assignment in the embedding of
+   ``energies.pi_step_terms`` (row-separable exact minimization when
+   ``exact_pi_step`` is on; the default leaves the bijectivity term out,
+   keeping only the coupling terms, which is much smaller).
 
 ``SolverConfig`` is the one record of the objective: its schedules,
 its weights ``alpha`` and ``beta``, the active energy and the Pi-step
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import variants as _variants
-from .energies import energy_breakdown
+from .energies import energy_breakdown, pi_step_terms
 from .io import _savetxt
 from .spectral import PointwiseMap, fmap_to_p2p, nearest_rows, p2p_to_fmap
 from .variants import Variant
@@ -165,37 +165,24 @@ def c_step(state, basis_1, basis_2, config):
 
 def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, config, gamma):
     # recover the map src -> tgt; per source vertex q the assignment
-    # minimizes (up to the positive row weight A_src[q])
-    #   alpha |Phi_tgt[p] - (Phi_src C_own)[q]|^2
-    #   + gamma beta |X_tgt[p] - Y[q]|^2
-    #   (+ |(Phi_tgt C_other)[p] - Phi_src[q]|^2 in exact mode)
-    # rhm's gamma mu |Pi_bwd Y_other - X_src|^2 term is left out, so the
-    # exact mode is not exact for rhm
-    # each embedding is written block by block into one array, so no
-    # per-block copy is alive during the search
-    spatial = gamma * config.beta != 0
-    k_own = c_own.shape[1]
-    k_other = c_other.shape[1] if config.exact_pi_step else 0
-    width = k_own + (3 if spatial else 0) + k_other
-    query = np.empty((basis_src.n, width))
-    data = np.empty((basis_tgt.n, width))
-
-    sa = np.sqrt(config.alpha)
-    np.matmul(basis_src.phi, c_own, out=query[:, :k_own])
-    query[:, :k_own] *= sa
-    np.multiply(basis_tgt.phi, sa, out=data[:, :k_own])
-
-    if spatial:
-        s = np.sqrt(gamma * config.beta)
-        np.multiply(y, s, out=query[:, k_own:k_own + 3])
-        np.multiply(mesh_tgt.vertices, s, out=data[:, k_own:k_own + 3])
-
-    if config.exact_pi_step:
-        query[:, width - k_other:] = basis_src.phi
-        np.matmul(basis_tgt.phi, c_other, out=data[:, width - k_other:])
-
-    idx = nearest_rows(query, data)
-    return PointwiseMap(idx, mesh_tgt.n_vertices)
+    # minimizes (up to the positive row weight A_src[q]) the weighted sum
+    # of |query[q] - data[p]|^2 over the terms the energies module hands
+    # the Pi-step; each block is written scaled by sqrt(weight) into one
+    # array, so no per-block copy is alive during the search
+    terms = pi_step_terms(c_own, c_other, y, basis_src.phi, basis_tgt.phi, mesh_tgt.vertices,
+                          config, gamma)
+    ends = np.cumsum([(t.data[1] if isinstance(t.data, tuple) else t.data).shape[1] for t in terms])
+    query = np.empty((basis_src.n, ends[-1]))
+    data = np.empty((basis_tgt.n, ends[-1]))
+    for term, start, end in zip(terms, np.r_[0, ends[:-1]], ends):
+        for operand, out in ((term.query, query[:, start:end]), (term.data, data[:, start:end])):
+            # an operand (a, b) stands for a @ b
+            if isinstance(operand, tuple):
+                np.matmul(*operand, out=out)
+                out *= np.sqrt(term.weight)
+            else:
+                np.multiply(operand, np.sqrt(term.weight), out=out)
+    return PointwiseMap(nearest_rows(query, data), mesh_tgt.n_vertices)
 
 
 def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):

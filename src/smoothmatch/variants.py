@@ -3,9 +3,8 @@
 Every variant produces surrogate pulled-back coordinates ``Y`` for one
 map direction by exactly minimizing its own coupled energy at fixed
 pointwise maps; the differences between variants live entirely here.
-The spatial block each variant contributes to the nearest-neighbor
-assignment step is always ``sqrt(gamma*beta) * Y`` against
-``sqrt(gamma*beta) * X_tgt``.
+The terms that depend on the maps, the spatial coupling included, are
+stated in :mod:`smoothmatch.energies` and shared by every variant.
 
 Degenerate kernels (``beta == 0``) are pinned explicitly, never left to
 the sparse solver: the Dirichlet variant returns the area-weighted

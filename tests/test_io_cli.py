@@ -1,5 +1,6 @@
 import gzip
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_fmap_roundtrip(tmp_path_factory, c):
     path = tmp_path_factory.mktemp("fmap") / "fmap.txt"
     sm_io.write_fmap(path, c)
     assert path.read_text().split("\n")[0] == "%d %d" % c.shape
-    assert sm_io.read_fmap(path).tobytes() == c.tobytes()
+    assert np.loadtxt(path, skiprows=1, ndmin=2).tobytes() == c.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,13 +60,9 @@ def test_index_pairs_roundtrip(tmp_path_factory, pairs):
 
 @pytest.mark.parametrize("read, text, suffix", [
     (lambda p: sm_io.read_pointwise_map(p, 5), "0 1\n2 3\n", ": expected one index per line"),
-    (sm_io.read_fmap, "", ":1: malformed functional map header"),
-    (sm_io.read_fmap, "# c\n2 2 2\n1 0\n", ":2: malformed functional map header"),
-    (sm_io.read_fmap, "2 2\n1 0\n", ": header promises 2x2, found (1, 2)"),
     (lambda p: sm_io.read_index_pairs(p, (5, 5)), "0 1 2\n", ": expected two indices per line"),
     (sm_io.read_ground_truth, "0 1 2\n", ": expected one or two columns"),
-], ids=["map_two_columns", "fmap_empty", "fmap_header_3_wide", "fmap_short", "pairs_3_wide",
-        "gt_3_wide"])
+], ids=["map_two_columns", "pairs_3_wide", "gt_3_wide"])
 def test_reader_shape_errors(tmp_path, read, text, suffix):
     path = tmp_path / "x.txt"
     path.write_text(text)
@@ -147,13 +144,6 @@ def test_integer_file_parse_error_names_file(tmp_path, reader, text, what):
         reader(path)
 
 
-def test_fmap_parse_error_names_line(tmp_path):
-    path = tmp_path / "fmap.txt"
-    path.write_text("2 2\n1 x\n0 1\n")
-    with pytest.raises(ValueError, match=r"fmap\.txt:2: malformed functional map line"):
-        sm_io.read_fmap(path)
-
-
 # tokens that neither the float nor the integer parser accepts
 _NOT_NUMBERS = ["x", "1_000", "1,5", "--1", "0x1f"]
 _FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
@@ -163,7 +153,7 @@ _FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.
 def _valid_file(draw):
     """A valid file in one text format: (name, content lines, index of the
     first data line, leading keyword tokens per data line, reader)."""
-    kind = draw(st.sampled_from(["off", "obj", "map", "pairs", "ground_truth", "fmap"]))
+    kind = draw(st.sampled_from(["off", "obj", "map", "pairs", "ground_truth"]))
     # at least three data rows, so a row with a dropped token is the odd one out
     n = draw(st.integers(3, 8))
     index = st.integers(0, n - 1)
@@ -184,13 +174,9 @@ def _valid_file(draw):
     if kind == "map":
         return "map.txt", [row(index, 1) for _ in range(n)], 0, 0, (
             lambda p: sm_io.read_pointwise_map(p, n))
-    if kind in ("pairs", "ground_truth"):
-        reader = ((lambda p: sm_io.read_index_pairs(p, (n, n))) if kind == "pairs"
-                  else sm_io.read_ground_truth)
-        return kind + ".txt", [row(index, 2) for _ in range(n)], 0, 0, reader
-    cols = draw(st.integers(2, 4))
-    lines = ["%d %d" % (n, cols)] + [row(_FLOAT_TEXT, cols) for _ in range(n)]
-    return "fmap.txt", lines, 0, 0, sm_io.read_fmap
+    reader = ((lambda p: sm_io.read_index_pairs(p, (n, n))) if kind == "pairs"
+              else sm_io.read_ground_truth)
+    return kind + ".txt", [row(index, 2) for _ in range(n)], 0, 0, reader
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,14 +211,12 @@ def test_valid_files_build_no_line_table(tmp_path):
     # line numbers are counted only to name a bad line
     write_off(icosphere(1), tmp_path / "m.off")
     sm_io.write_pointwise_map(tmp_path / "map.txt", PointwiseMap([2, 0, 1], 3))
-    sm_io.write_fmap(tmp_path / "fmap.txt", np.eye(2))
     sm_io.write_index_pairs(tmp_path / "pairs.txt", [[0, 1], [2, 2]])
     unused = mock.Mock(side_effect=AssertionError("line table built"))
     with mock.patch.object(sm_io, "_content_lines", unused), \
             mock.patch("smoothmatch.mesh._content_lines", unused):
         assert read_off(tmp_path / "m.off")[0].shape == (42, 3)
         assert sm_io.read_pointwise_map(tmp_path / "map.txt", 3).n_src == 3
-        assert sm_io.read_fmap(tmp_path / "fmap.txt").shape == (2, 2)
         assert sm_io.read_index_pairs(tmp_path / "pairs.txt", (3, 3)).shape == (2, 2)
         assert sm_io.read_ground_truth(tmp_path / "map.txt")[1].tolist() == [2, 0, 1]
     unused.assert_not_called()
@@ -276,7 +260,9 @@ def test_writers_write_plain_text_to_gz_names(tmp_path):
     assert sm_io.read_pointwise_map(tmp_path / "map.txt.gz", 3) == pi
     c = np.array([[1.5, -2.0], [0.25, 3.0]])
     sm_io.write_fmap(tmp_path / "fmap.txt.gz", c)
-    assert sm_io.read_fmap(tmp_path / "fmap.txt.gz").tobytes() == c.tobytes()
+    # np.loadtxt would gunzip a path ending in .gz, so it reads the text
+    text = (tmp_path / "fmap.txt.gz").read_text().splitlines()
+    assert np.loadtxt(text, skiprows=1).tobytes() == c.tobytes()
     pairs = np.array([[0, 4], [3, 1]])
     sm_io.write_index_pairs(tmp_path / "pairs.txt.gz", pairs)
     assert np.array_equal(sm_io.read_index_pairs(tmp_path / "pairs.txt.gz", (4, 5)), pairs)
@@ -386,7 +372,7 @@ def test_refine_writes_outputs(refined_dir):
         assert (refined_dir / name).exists()
     trace = (refined_dir / "energy_trace.csv").read_text().strip().split("\n")
     assert trace[0].startswith("iteration,k,gamma,")
-    c = sm_io.read_fmap(refined_dir / "fmap_12.txt")
+    c = np.loadtxt(refined_dir / "fmap_12.txt", skiprows=1)
     assert c.shape == (40, 40)
 
 
@@ -777,6 +763,58 @@ def test_refine_one_triangle_meshes_exit_2(tmp_path, capsys):
     assert code == 2
     assert captured.err == "error: meshes are too small to refine\n"
     assert not out.exists()
+
+
+def _refine_edited_target(fixture_dir, tmp_path, edit):
+    # refine the fixture against its target with edit(vertices, faces) applied
+    tgt = read_off(fixture_dir / "tgt.off")
+    path = tmp_path / "edited.off"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        write_off(TriMesh(*edit(*tgt)), path)
+    out = tmp_path / "out"
+    code = main(["refine", "--src", str(fixture_dir / "src.off"), "--tgt", str(path),
+                 "--landmarks", str(fixture_dir / "lm5.txt"), "--k-final", "20",
+                 "--iters", "2", "--out", str(out)])
+    return code, path, out
+
+
+def test_refine_unreferenced_vertex_names_the_file(fixture_dir, tmp_path, capsys):
+    # rejected before any basis work, with one isolated-vertex warning
+    edit = lambda v, f: (np.vstack([v, [[0.1, 0.2, 0.3]]]), f)
+    with mock.patch.object(cli, "compute_basis") as basis, \
+            pytest.warns(UserWarning, match="isolated vertices") as warned:
+        code, path, out = _refine_edited_target(fixture_dir, tmp_path, edit)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: %s: vertex 162 has zero area (it is in no face, or only in zero-area faces)\n"
+        % path)
+    assert sum("isolated vertices" in str(w.message) for w in warned) == 1
+    basis.assert_not_called()
+    assert not out.exists()
+
+
+def _seam(v, f):
+    # a copy of vertex f[0, 0] stands in for it in face 0 only
+    f = f.copy()
+    v = np.vstack([v, v[f[0, 0]]])
+    f[0, 0] = len(v) - 1
+    return v, f
+
+
+@pytest.mark.parametrize("edit", [
+    _seam,
+    lambda v, f: (v, np.vstack([f, f[:1]])),
+    lambda v, f: (v, np.vstack([f, np.roll(f[:1], 1, axis=1)])),
+], ids=["coincident_vertices", "repeated_face", "repeated_rotated_face"])
+def test_refine_accepts_seams_and_repeated_faces(fixture_dir, tmp_path, edit):
+    # documented as accepted inputs: a repeated face counts twice in the
+    # areas and cotangent weights, and coincident vertices form a seam
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        code, _, out = _refine_edited_target(fixture_dir, tmp_path, edit)
+    assert code == 0
+    assert (out / "map_12.txt").exists()
 
 
 def test_refine_without_pairs_still_requires_flags(fixture_dir, capsys):
