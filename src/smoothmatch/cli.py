@@ -171,16 +171,23 @@ def _print_config(config, args):
     print("normalize %s" % (not args.no_normalize))
 
 
-def _cmd_refine(args):
-    config = _refine_config(args)
-    mesh_1 = load_mesh(_require(args.src, "source mesh"), normalize=not args.no_normalize)
-    mesh_2 = load_mesh(_require(args.tgt, "target mesh"), normalize=not args.no_normalize)
-    for path, mesh in ((args.src, mesh_1), (args.tgt, mesh_2)):
-        # the bases weight every vertex by its area
+def _load_meshes(args):
+    """The source and target meshes; a vertex of zero area fails, naming its file."""
+    # the bases and the metrics weight every vertex by its area, and a
+    # vertex in no face is a component of its own
+    meshes = [load_mesh(_require(path, what), normalize=not args.no_normalize)
+              for path, what in ((args.src, "source mesh"), (args.tgt, "target mesh"))]
+    for path, mesh in zip((args.src, args.tgt), meshes):
         flat = np.flatnonzero(mesh.vertex_areas <= 0)
         if flat.size:
             raise ValueError("%s: vertex %d has zero area (it is in no face, or only in "
                              "zero-area faces)" % (path, flat[0]))
+    return meshes
+
+
+def _cmd_refine(args):
+    config = _refine_config(args)
+    mesh_1, mesh_2 = _load_meshes(args)
     # every input file is read and checked before any work is done
     if args.landmarks:
         pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"),
@@ -265,8 +272,7 @@ def _run_batch(args):
 
 
 def _cmd_eval(args):
-    mesh_1 = load_mesh(_require(args.src, "source mesh"), normalize=not args.no_normalize)
-    mesh_2 = load_mesh(_require(args.tgt, "target mesh"), normalize=not args.no_normalize)
+    mesh_1, mesh_2 = _load_meshes(args)
     pi_12 = _read_map(args.map12, mesh_1.n_vertices, mesh_2.n_vertices)
     pi_21 = _read_map(args.map21, mesh_2.n_vertices, mesh_1.n_vertices) if args.map21 else None
     gt_src = gt_tgt = None

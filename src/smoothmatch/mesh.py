@@ -230,12 +230,12 @@ def geodesic_distances(mesh, sources, limit=np.inf, within=None):
         value is a minimum over relaxations from vertices settled before
         it, all of which lie within the limit too.
     within : sorted sequence of int, optional
-        Search only the subgraph induced by these vertices, which must
-        be strictly increasing and include every source.  Edge lengths
-        are Euclidean, so a path no longer than ``limit`` stays within
-        that Euclidean distance of its source: when ``within`` holds
-        every vertex that close to a source, the distances ``<= limit``
-        are the same floats as on the whole mesh.
+        Search only scipy's slice ``edge_graph[within][:, within]``, the
+        subgraph these vertices induce; they must be strictly increasing
+        and include every source.  Edge lengths are Euclidean, so a path
+        no longer than ``limit`` stays within that distance of its source:
+        when ``within`` holds every vertex that close to a source, the
+        distances ``<= limit`` are the same floats as on the whole mesh.
 
     Returns
     -------
@@ -255,31 +255,13 @@ def geodesic_distances(mesh, sources, limit=np.inf, within=None):
             raise ValueError("within must be a strictly increasing vertex list")
         if within.size and (within[0] < 0 or within[-1] >= n):
             raise ValueError("within index out of range")
-        graph, position = _induced_subgraph(graph, within)
-        sources = position[sources]
-        if (sources < 0).any():
+        position = np.searchsorted(within, sources)
+        if (np.append(within, -1)[position] != sources).any():
             raise ValueError("within must contain every source")
+        graph, sources = graph[within][:, within], position
     # the graph is symmetric, so a directed search gives the undirected
     # distances, without scipy transposing the graph on every call
     return csgraph.dijkstra(graph, directed=True, indices=sources, limit=limit)
-
-
-def _induced_subgraph(graph, keep):
-    # rows `keep` of a CSR graph, without the columns outside `keep`, and
-    # renumbered by position in `keep` (each row keeps its column order);
-    # also each vertex's position in `keep`, -1 if it is not there
-    position = np.full(graph.shape[0], -1, dtype=graph.indices.dtype)
-    position[keep] = np.arange(keep.size)
-    starts = graph.indptr[keep]
-    counts = graph.indptr[keep + 1] - starts
-    ends = np.cumsum(counts)
-    at = np.arange(counts.sum()) + np.repeat(starts - ends + counts, counts)
-    cols = position[graph.indices[at]]
-    found = cols >= 0
-    indptr = np.append(0, np.cumsum(found))[np.append(0, ends)]
-    sub = sparse.csr_matrix((graph.data[at[found]], cols[found], indptr),
-                            shape=(keep.size, keep.size))
-    return sub, position
 
 
 # ----------------------------------------------------------------------

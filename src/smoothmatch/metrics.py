@@ -79,18 +79,12 @@ def _distance_lookup(mesh, from_idx, to_idx):
         return out
     out[todo] = np.inf
     edge = mesh.edge_lengths.mean()
-    for limit in [e * edge for e in _LIMIT_EDGES] + [np.inf]:
+    # no bounded pass at a zero or nan mean edge length (degenerate or
+    # non-finite edges): the unbounded pass gives every value
+    for limit in [e * edge for e in _LIMIT_EDGES if edge > 0] + [np.inf]:
         uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
-        if limit == np.inf:
-            rows = max(1, _BLOCK_ENTRIES // mesh.n_vertices)
-            blocks = [(np.arange(first, min(first + rows, uniq.size)), None)
-                      for first in range(0, uniq.size, rows)]
-        elif limit > 0:
-            blocks = _local_blocks(mesh, uniq, limit)
-        else:
-            # a zero or nan limit (degenerate or non-finite edge lengths):
-            # the unbounded pass gives every value
-            continue
+        blocks = (_local_blocks(mesh, uniq, limit) if limit < np.inf
+                  else _split(np.arange(uniq.size), None, mesh.n_vertices))
         # order the pairs by block; a source in no block keeps its pairs inf
         label = np.full(uniq.size, len(blocks))
         for b, (members, _) in enumerate(blocks):
@@ -178,9 +172,15 @@ def _local_blocks(mesh, sources, limit):
             box, x = coord[sources[members]], coord[cand]
             near &= (box.min() - x <= r) & (x - box.max() <= r)
         within = np.sort(cand[near])
-        rows = max(1, _BLOCK_ENTRIES // within.size)
-        blocks += [(members[i:i + rows], within) for i in range(0, members.size, rows)]
+        blocks += _split(members, within, within.size)
     return blocks
+
+
+def _split(members, within, width):
+    # consecutive runs of `members`, as blocks (run, within) of at most
+    # _BLOCK_ENTRIES distances, `width` per row, or of one row
+    rows = max(1, _BLOCK_ENTRIES // width)
+    return [(members[i:i + rows], within) for i in range(0, members.size, rows)]
 
 
 def checked_ground_truth(gt_src, gt_tgt, n_src, n_tgt):

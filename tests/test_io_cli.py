@@ -467,6 +467,18 @@ def test_refine_rejects_k_def_below_one(fixture_dir, tmp_path, capsys):
     assert "k_def must be at least 1" in capsys.readouterr().err
 
 
+def test_refine_rejects_k_init_above_k_final(fixture_dir, tmp_path, capsys):
+    code = main([
+        "refine", "--src", str(fixture_dir / "src.off"),
+        "--tgt", str(fixture_dir / "tgt.off"),
+        "--landmarks", str(fixture_dir / "lm5.txt"),
+        "--k-init", "30", "--k-final", "20", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: need 1 <= k_init <= k_final\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_refine_rejects_k_def_above_k_final(fixture_dir, tmp_path, capsys):
     code = main([
         "refine", "--src", str(fixture_dir / "src.off"),
@@ -765,13 +777,19 @@ def test_refine_one_triangle_meshes_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _refine_edited_target(fixture_dir, tmp_path, edit):
-    # refine the fixture against its target with edit(vertices, faces) applied
+def _edited_target(fixture_dir, tmp_path, edit):
+    # the fixture's target with edit(vertices, faces) applied, written out
     tgt = read_off(fixture_dir / "tgt.off")
     path = tmp_path / "edited.off"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         write_off(TriMesh(*edit(*tgt)), path)
+    return path
+
+
+def _refine_edited_target(fixture_dir, tmp_path, edit):
+    # refine the fixture against its target with edit(vertices, faces) applied
+    path = _edited_target(fixture_dir, tmp_path, edit)
     out = tmp_path / "out"
     code = main(["refine", "--src", str(fixture_dir / "src.off"), "--tgt", str(path),
                  "--landmarks", str(fixture_dir / "lm5.txt"), "--k-final", "20",
@@ -779,18 +797,43 @@ def _refine_edited_target(fixture_dir, tmp_path, edit):
     return code, path, out
 
 
+def _unreferenced_vertex(v, f):
+    return np.vstack([v, [[0.1, 0.2, 0.3]]]), f
+
+
 def test_refine_unreferenced_vertex_names_the_file(fixture_dir, tmp_path, capsys):
     # rejected before any basis work, with one isolated-vertex warning
-    edit = lambda v, f: (np.vstack([v, [[0.1, 0.2, 0.3]]]), f)
     with mock.patch.object(cli, "compute_basis") as basis, \
             pytest.warns(UserWarning, match="isolated vertices") as warned:
-        code, path, out = _refine_edited_target(fixture_dir, tmp_path, edit)
+        code, path, out = _refine_edited_target(fixture_dir, tmp_path, _unreferenced_vertex)
     assert code == 2
     assert capsys.readouterr().err == (
         "error: %s: vertex 162 has zero area (it is in no face, or only in zero-area faces)\n"
         % path)
     assert sum("isolated vertices" in str(w.message) for w in warned) == 1
     basis.assert_not_called()
+    assert not out.exists()
+
+
+def test_eval_unreferenced_vertex_names_the_file(fixture_dir, tmp_path, capsys):
+    # rejected as refine rejects it, before any metric: the vertex would be
+    # a component of its own, and every round trip through it inf
+    path = _edited_target(fixture_dir, tmp_path, _unreferenced_vertex)
+    n = read_off(fixture_dir / "src.off")[0].shape[0]
+    map_12, map_21, out = tmp_path / "m12.txt", tmp_path / "m21.txt", tmp_path / "eval.csv"
+    sm_io.write_pointwise_map(map_12, PointwiseMap(np.arange(n), n + 1))
+    sm_io.write_pointwise_map(map_21, PointwiseMap(np.append(np.arange(n), 0), n))
+    with mock.patch.object(cli, "compute_report") as report, \
+            pytest.warns(UserWarning, match="isolated vertices") as warned:
+        code = main(["eval", "--src", str(fixture_dir / "src.off"), "--tgt", str(path),
+                     "--map12", str(map_12), "--map21", str(map_21),
+                     "--gt", str(fixture_dir / "gt.txt"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", (
+        "error: %s: vertex 162 has zero area (it is in no face, or only in zero-area faces)\n"
+        % path))
+    assert sum("isolated vertices" in str(w.message) for w in warned) == 1
+    report.assert_not_called()
     assert not out.exists()
 
 

@@ -352,6 +352,8 @@ def test_geodesic_within_keeps_values_within_limit(rng, edges):
     ([-1, 0, 5], "within index out of range"),
     ([0, 5, 162], "within index out of range"),
     ([0, 1, 2], "within must contain every source"),
+    ([1, 5, 9], "within must contain every source"),
+    ([], "within must contain every source"),
 ])
 def test_geodesic_bad_within(sphere2, within, message):
     with pytest.raises(ValueError, match=message):

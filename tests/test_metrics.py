@@ -261,6 +261,16 @@ def test_lookup_ends_on_non_finite_lengths(rng):
                         rng.integers(0, mesh.n_vertices, 300))
 
 
+def test_lookup_ends_on_zero_lengths(rng):
+    # coincident vertices make the mean edge length, and so every
+    # bounded limit, zero: only the unbounded pass runs
+    sphere = icosphere(2)
+    mesh = TriMesh(np.zeros_like(sphere.vertices), sphere.faces)
+    calls = assert_lookup_exact(mesh, rng.integers(0, mesh.n_vertices, 300),
+                                rng.integers(0, mesh.n_vertices, 300))
+    assert calls and {limit for _, limit, _ in calls} == {np.inf}
+
+
 def test_lookup_one_row_chunks(rng):
     mesh = hull_mesh(rng, 120)
     from_idx = rng.integers(0, mesh.n_vertices, 400)

@@ -383,8 +383,10 @@ def test_refine_validates_inputs(sphere2, sphere2_basis, rng):
     (lambda s, b: landmark_init(np.arange(6).reshape(2, 3), b, b),
      "landmarks must be an (L, 2) index array"),
     (lambda s, b: landmark_init(np.arange(4), b, b), "landmarks must be an (L, 2) index array"),
+    (lambda s, b: SolverConfig(k_init=30, k_final=20), "need 1 <= k_init <= k_final"),
+    (lambda s, b: SolverConfig(k_init=0), "need 1 <= k_init <= k_final"),
 ], ids=["n_outer", "basis_1_small", "basis_2_small", "pi_21_src", "pi_21_tgt",
-        "landmarks_3_wide", "landmarks_flat"])
+        "landmarks_3_wide", "landmarks_flat", "k_init_above_k_final", "k_init_zero"])
 def test_solver_input_errors(sphere2, sphere2_basis, call, message):
     with pytest.raises(ValueError) as exc:
         call(sphere2, sphere2_basis)
