@@ -174,14 +174,21 @@ def _print_config(config, args):
 def _load_meshes(args):
     """The source and target meshes; a vertex of zero area fails, naming its file."""
     # the bases and the metrics weight every vertex by its area, and a
-    # vertex in no face is a component of its own
-    meshes = [load_mesh(_require(path, what), normalize=not args.no_normalize)
-              for path, what in ((args.src, "source mesh"), (args.tgt, "target mesh"))]
-    for path, mesh in zip((args.src, args.tgt), meshes):
-        flat = np.flatnonzero(mesh.vertex_areas <= 0)
+    # vertex in no face is a component of its own; the areas are checked
+    # before normalizing, which would turn a mesh of zero area into nan
+    paths = (args.src, args.tgt)
+    meshes = [load_mesh(_require(path, what), normalize=False)
+              for path, what in zip(paths, ("source mesh", "target mesh"))]
+    for i, (path, mesh) in enumerate(zip(paths, meshes)):
+        flat = np.flatnonzero(~(mesh.vertex_areas > 0))
         if flat.size:
             raise ValueError("%s: vertex %d has zero area (it is in no face, or only in "
                              "zero-area faces)" % (path, flat[0]))
+        if not args.no_normalize:
+            try:
+                meshes[i] = mesh.normalized()
+            except ValueError as exc:       # a total area that overflows to inf
+                raise ValueError("%s: %s" % (path, exc)) from None
     return meshes
 
 
@@ -199,9 +206,16 @@ def _cmd_refine(args):
     if args.gt:
         gt_src, gt_tgt = _read_ground_truth(args.gt, mesh_1.n_vertices, mesh_2.n_vertices)
 
-    k_max = min(config.k_final, mesh_1.n_vertices - 2, mesh_2.n_vertices - 2)
-    if k_max < 2:
+    k_mesh = min(mesh_1.n_vertices, mesh_2.n_vertices) - 2
+    if k_mesh < 2:
         raise ValueError("meshes are too small to refine")
+    if config.k_final < 2:
+        raise ValueError("--k-final must be at least 2 (got %d)" % config.k_final)
+    k_max = min(config.k_final, k_mesh)
+    if args.landmarks and len(pairs) > k_max:
+        raise ValueError("%s: %d landmarks need as many eigenpairs; %s" % (
+            args.landmarks, len(pairs), "--k-final is %d" % k_max if k_max == config.k_final
+            else "these meshes allow %d" % k_max))
     if k_max < config.k_final:
         config.k_final = k_max
         config.k_init = min(config.k_init, k_max)

@@ -122,8 +122,14 @@ class TriMesh:
         return np.column_stack([key // n, key % n])
 
     def normalized(self):
-        """Copy translated to centroid origin and scaled to unit area."""
-        scale = 1.0 / np.sqrt(self.area)
+        """Copy translated to centroid origin and scaled to unit area.
+
+        A total area that is zero or not finite raises ``ValueError``.
+        """
+        area = self.area
+        if not 0 < area < np.inf:
+            raise ValueError("total area is %g; normalizing needs a positive, finite one" % area)
+        scale = 1.0 / np.sqrt(area)
         verts = (self.vertices - self.surface_centroid) * scale
         with warnings.catch_warnings():
             # this mesh has already warned about its isolated vertices

@@ -4,8 +4,8 @@ Each outer iteration alternates exact minimizations of the combined
 objective (bijectivity plus gamma times coupled smoothness):
 
 1. C-step: both functional maps in closed form (K x K SPD systems).
-2. Y-step: the active variant's sparse solve, one per direction, with
-   the surrogate coordinates re-seeded from the freshest maps.
+2. Y-step: the surrogate coordinates, one sparse solve per direction on
+   the freshest maps, each map-independent system factored once per call.
 3. Pi-step: per-vertex nearest-neighbor assignment in the embedding of
    ``energies.pi_step_terms`` (row-separable exact minimization when
    ``exact_pi_step`` is on; the default leaves the bijectivity term out,
@@ -25,6 +25,7 @@ name the function-transport direction, which is opposite to the vertex
 map it represents.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -235,12 +236,9 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
     ks = config.k_schedule()
     gammas = config.gamma_schedule()
 
-    # map-independent Y-step operators are factored once per mesh
-    solves = []
-    for mesh in (mesh_1, mesh_2):
-        op = variant.energy.operator(variant, mesh, beta) if beta > 0 else None
-        solves.append(None if op is None
-                      else _variants.prefactored(op, op.shape[0] // mesh.n_vertices))
+    # a map-independent Y-step system is factored once per mesh, and
+    # the factors are freed when this call returns
+    factored = functools.cache(_variants.factored)
 
     state = SolverState(pi_12, pi_21)
     trace = EnergyTrace()
@@ -254,10 +252,10 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
         state.c_12, state.c_21 = c_step(state, b1, b2, config)
 
         state.y_12, state.aux_12 = _variants.run_y_step(
-            variant, beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, solve=solves[0]
+            variant, beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, factored
         )
         state.y_21, state.aux_21 = _variants.run_y_step(
-            variant, beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, solve=solves[1]
+            variant, beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, factored
         )
 
         new_12, new_21 = pi_step(state, mesh_1, mesh_2, b1, b2, config, gamma)

@@ -6,10 +6,13 @@ pointwise maps; the differences between variants live entirely here.
 The terms that depend on the maps, the spatial coupling included, are
 stated in :mod:`smoothmatch.energies` and shared by every variant.
 
+A Y-step takes the factor of its map-independent system from
+:func:`factored`, which ``refine`` caches for one call.
+
 Degenerate kernels (``beta == 0``) are pinned explicitly, never left to
 the sparse solver: the Dirichlet variant returns the area-weighted
 centroid rows, ARAP pins the centroid of the solution, and nICP returns
-identity transforms.
+identity transforms, before anything is factored.
 """
 
 from collections import namedtuple
@@ -113,6 +116,12 @@ def prefactored(mat, block=1):
     return solve
 
 
+def factored(build, mesh, *weights):
+    """Factor of ``build(mesh, *weights)`` in its blocks of unknowns per vertex."""
+    op = build(mesh, *weights)
+    return prefactored(op, op.shape[0] // mesh.n_vertices)
+
+
 def _a_centroid(points, areas):
     return (areas[:, None] * points).sum(axis=0) / areas.sum()
 
@@ -120,11 +129,10 @@ def _a_centroid(points, areas):
 # ----------------------------------------------------------------------
 # Dirichlet
 # ----------------------------------------------------------------------
-def y_step_dirichlet(pi, mesh_src, mesh_tgt, beta, solve=None):
+def y_step_dirichlet(pi, mesh_src, mesh_tgt, beta, factored=factored):
     """Minimize ``|Y|^2_W + beta |Y - Pi X_tgt|^2_A`` over Y.
 
-    Solves ``(W + beta A) Y = beta A (Pi X_tgt)``; the operator can be
-    prefactored once per mesh and passed in as ``solve``.
+    Solves ``(W + beta A) Y = beta A (Pi X_tgt)``.
     """
     pulled = pi.pull(mesh_tgt.vertices)
     a = mesh_src.vertex_areas
@@ -132,9 +140,7 @@ def y_step_dirichlet(pi, mesh_src, mesh_tgt, beta, solve=None):
         # pure Dirichlet minimizers are the constant maps; pin to the
         # area-weighted centroid of the pulled-back coordinates
         return np.tile(_a_centroid(pulled, a), (mesh_src.n_vertices, 1))
-    if solve is None:
-        solve = prefactored(dirichlet_operator(mesh_src, beta))
-    return solve(beta * a[:, None] * pulled)
+    return factored(dirichlet_operator, mesh_src, beta)(beta * a[:, None] * pulled)
 
 
 def dirichlet_operator(mesh, beta, lam=1.0):
@@ -158,7 +164,7 @@ def nicp_operator(mesh, beta):
             + sparse.bsr_matrix((blocks, np.arange(n), np.arange(n + 1))))
 
 
-def y_step_nicp(pi, mesh_src, mesh_tgt, beta, solve=None):
+def y_step_nicp(pi, mesh_src, mesh_tgt, beta, factored=factored):
     """Fit a smooth per-vertex affine field to the current map.
 
     Minimizes ``|D|^2_W + beta |D o X_src - Pi X_tgt|^2_A`` where
@@ -171,14 +177,12 @@ def y_step_nicp(pi, mesh_src, mesh_tgt, beta, solve=None):
         # any graph-constant field is optimal; return identity transforms
         d = np.tile(np.hstack([np.eye(3), np.zeros((3, 1))]), (n, 1, 1))
         return d, x.copy()
-    if solve is None:
-        solve = prefactored(nicp_operator(mesh_src, beta), 4)
     xt = np.hstack([x, np.ones((n, 1))])
     target = pi.pull(mesh_tgt.vertices)
     scaled = (beta * mesh_src.vertex_areas)[:, None] * target     # (n, 3)
     # column r stacks the per-vertex vectors beta * a_i * t_ir * xt_i
     rhs = np.stack([(scaled[:, r, None] * xt).ravel() for r in range(3)], axis=1)
-    g = solve(rhs)                                                # (4n, 3)
+    g = factored(nicp_operator, mesh_src, beta)(rhs)              # (4n, 3)
     d = np.transpose(g.reshape(n, 4, 3), (0, 2, 1))               # (n, 3, 4)
     y = np.einsum("irc,ic->ir", d, xt)
     return d, y
@@ -262,7 +266,7 @@ def _arap_system(pi, mesh_src, mesh_tgt, beta, lam):
     return pulled, rot, rhs
 
 
-def y_step_arap(pi, mesh_src, mesh_tgt, beta, lam, solve=None):
+def y_step_arap(pi, mesh_src, mesh_tgt, beta, lam, factored=factored):
     """One local-global ARAP sweep coupled to the current map.
 
     Rotations are fit to ``Y0 = Pi X_tgt``; the global step solves
@@ -277,9 +281,7 @@ def y_step_arap(pi, mesh_src, mesh_tgt, beta, lam, solve=None):
         y = np.column_stack([lsqr(w, rhs[:, c], atol=1e-13, btol=1e-13)[0] for c in range(3)])
         y += _a_centroid(pulled, a) - _a_centroid(y, a)
         return rot, y
-    if solve is None:
-        solve = prefactored(dirichlet_operator(mesh_src, beta, lam))
-    return rot, solve(rhs)
+    return rot, factored(dirichlet_operator, mesh_src, beta, lam)(rhs)
 
 
 # ----------------------------------------------------------------------
@@ -313,17 +315,17 @@ def y_step_shells(pi, mesh_src, mesh_tgt, basis_src, beta, lam, k_def):
 # ----------------------------------------------------------------------
 # RHM (reversible-map coupling)
 # ----------------------------------------------------------------------
-def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu, solve=None):
+def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu, factored=factored):
     """Dirichlet Y-step with an extra pointwise reversibility pull.
 
     Minimizes ``E_D(Y) + beta |Y - Pi_fwd X_tgt|^2_{A_src}
     + mu |Pi_bwd Y - X_tgt|^2_{A_tgt}``; the reverse-map term only adds
     a diagonal (Pi_bwd is row-one-hot), so the system stays sparse SPD
-    but depends on the current map and is factored per call.  At
-    ``mu == 0`` this is the Dirichlet Y-step, ``solve`` included.
+    but depends on the current map and is factored per call, uncached.
+    At ``mu == 0`` this is the Dirichlet Y-step, ``factored`` included.
     """
     if mu == 0:
-        return y_step_dirichlet(pi_fwd, mesh_src, mesh_tgt, beta, solve=solve)
+        return y_step_dirichlet(pi_fwd, mesh_src, mesh_tgt, beta, factored)
     n_src = mesh_src.n_vertices
     a_src = mesh_src.vertex_areas
     a_tgt = mesh_tgt.vertex_areas
@@ -341,14 +343,14 @@ def y_step_rhm(pi_fwd, pi_bwd, mesh_src, mesh_tgt, beta, mu, solve=None):
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
-def run_y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve=None):
+def run_y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, factored=factored):
     """Dispatch one direction's Y-step; returns ``(y, aux)``.
 
     ``basis_src`` holds the current K eigenpairs.  ``aux`` carries the
     auxiliary unknowns the variant's energy needs (rotations or the
     affine field), or None.
     """
-    return variant.energy.y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve)
+    return variant.energy.y_step(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, factored)
 
 
 def _aux_sum(state, mesh_1, mesh_2, key, term):
@@ -359,8 +361,8 @@ def _aux_sum(state, mesh_1, mesh_2, key, term):
     return term(state.aux_12[key], state.y_12, mesh_1) + term(state.aux_21[key], state.y_21, mesh_2)
 
 
-def _y_nicp(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve):
-    d, y = y_step_nicp(pi_fwd, mesh_src, mesh_tgt, beta, solve=solve)
+def _y_nicp(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, factored):
+    d, y = y_step_nicp(pi_fwd, mesh_src, mesh_tgt, beta, factored)
     return y, {"affine": d}
 
 
@@ -369,8 +371,8 @@ def _nicp_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
         d.reshape(mesh.n_vertices, 12), mesh.cot_matrix))
 
 
-def _y_arap(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve):
-    rot, y = y_step_arap(pi_fwd, mesh_src, mesh_tgt, beta, variant.lam, solve=solve)
+def _y_arap(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, factored):
+    rot, y = y_step_arap(pi_fwd, mesh_src, mesh_tgt, beta, variant.lam, factored)
     return y, {"rotations": rot}
 
 
@@ -379,7 +381,7 @@ def _arap_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
     return variant.lam * _aux_sum(state, mesh_1, mesh_2, "rotations", arap_energy)
 
 
-def _y_shells(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, solve):
+def _y_shells(variant, beta, pi_fwd, pi_bwd, mesh_src, mesh_tgt, basis_src, factored):
     _, y, rot = y_step_shells(pi_fwd, mesh_src, mesh_tgt, basis_src, beta, variant.lam,
                               variant.k_def)
     return y, {"rotations": rot}
@@ -394,11 +396,9 @@ def _rhm_regularizer(state, mesh_1, mesh_2, variant, e_dirichlet):
 
 # The only dispatch on the energy kind, read through ``Variant.energy``.
 # Per energy: the default beta; the Y-step, with run_y_step's arguments,
-# returning (y, aux); the regularizer, i.e. the smoothness block minus
-# beta * e_couple_spatial; and, for beta > 0, the map-independent Y-step
-# operator, or None where the system depends on the map (rhm at mu > 0)
-# or is solved in the basis (shells).
-Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
+# returning (y, aux); and the regularizer, i.e. the smoothness block
+# minus beta * e_couple_spatial.
+Energy = namedtuple("Energy", "default_beta y_step regularizer")
 
 # The area-weighted coupling norm makes the spatial block scale like
 # beta * diam^2 against a spectral block of order k, so the Dirichlet
@@ -412,22 +412,18 @@ Energy = namedtuple("Energy", "default_beta y_step regularizer operator")
 ENERGIES = {
     "dirichlet": Energy(
         200.0,
-        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, solve: (
-            y_step_dirichlet(pi_fwd, src, tgt, beta, solve=solve), None),
+        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, factored: (
+            y_step_dirichlet(pi_fwd, src, tgt, beta, factored), None),
         lambda state, mesh_1, mesh_2, v, e_dirichlet: e_dirichlet,
-        lambda v, mesh, beta: dirichlet_operator(mesh, beta),
     ),
-    "nicp": Energy(1e-2, _y_nicp, _nicp_regularizer,
-                   lambda v, mesh, beta: nicp_operator(mesh, beta)),
-    "arap": Energy(1e-1, _y_arap, _arap_regularizer,
-                   lambda v, mesh, beta: dirichlet_operator(mesh, beta, v.lam)),
-    "shells": Energy(1e-3, _y_shells, _arap_regularizer, lambda v, mesh, beta: None),
+    "nicp": Energy(1e-2, _y_nicp, _nicp_regularizer),
+    "arap": Energy(1e-1, _y_arap, _arap_regularizer),
+    "shells": Energy(1e-3, _y_shells, _arap_regularizer),
     "rhm": Energy(
         1.0,
-        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, solve: (
-            y_step_rhm(pi_fwd, pi_bwd, src, tgt, beta, v.mu, solve=solve), None),
+        lambda v, beta, pi_fwd, pi_bwd, src, tgt, basis, factored: (
+            y_step_rhm(pi_fwd, pi_bwd, src, tgt, beta, v.mu, factored), None),
         _rhm_regularizer,
-        lambda v, mesh, beta: dirichlet_operator(mesh, beta) if v.mu == 0 else None,
     ),
 }
 VARIANT_KINDS = tuple(ENERGIES)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.spatial import ConvexHull
 
 from smoothmatch.mesh import TriMesh
@@ -35,6 +36,12 @@ def jittered_icosphere(subdivisions=3, edges=0.25, seed=0):
                                    axis=1).mean()
     noise = np.random.default_rng(seed).normal(scale=sigma, size=sphere.vertices.shape)
     return sphere, TriMesh(sphere.vertices + noise, sphere.faces)
+
+
+def arpack_no_convergence(*args, **kwargs):
+    """Stand-in for ``eigsh`` that fails as ARPACK does when it stops unconverged."""
+    raise ArpackNoConvergence("ARPACK error -1: No convergence (1 iterations, 0/10 "
+                              "eigenvectors converged)", np.empty(0), np.empty((0, 0)))
 
 
 def random_map(rng, mesh_src, mesh_tgt):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_map
+from conftest import arpack_no_convergence, random_map
 
-from smoothmatch import cli
+from smoothmatch import cli, spectral
 from smoothmatch import io as sm_io
 from smoothmatch.cli import _exit_code, main
 from smoothmatch.mesh import (
@@ -548,6 +548,42 @@ def test_refine_bad_landmarks_fail_before_the_bases(fixture_dir, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k_args, message", [
+    (["--k-init", "3", "--k-final", "3"], "lm5.txt: 5 landmarks need as many eigenpairs; "
+                                          "--k-final is 3"),
+    (["--k-init", "1", "--k-final", "1"], "--k-final must be at least 2 (got 1)"),
+], ids=["fewer_than_landmarks", "below_two"])
+def test_refine_spectral_size_errors_fail_before_the_bases(fixture_dir, tmp_path, capsys,
+                                                           k_args, message):
+    out = tmp_path / "o"
+    with mock.patch.object(cli, "compute_basis") as basis:
+        code = main([
+            "refine", "--src", str(fixture_dir / "src.off"),
+            "--tgt", str(fixture_dir / "tgt.off"),
+            "--landmarks", str(fixture_dir / "lm5.txt"), "--out", str(out), *k_args,
+        ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    basis.assert_not_called()
+    assert not out.exists()
+
+
+def test_refine_eigensolver_failure_is_solver_failure(fixture_dir, tmp_path, capsys,
+                                                      monkeypatch):
+    # ARPACK runs only above the dense limit; the fixture has 162 vertices
+    monkeypatch.setattr(spectral, "_DENSE_EIGEN_LIMIT", 100)
+    monkeypatch.setattr(spectral, "eigsh", arpack_no_convergence)
+    out = tmp_path / "o"
+    code = main([
+        "refine", "--src", str(fixture_dir / "src.off"), "--tgt", str(fixture_dir / "tgt.off"),
+        "--landmarks", str(fixture_dir / "lm5.txt"), "--k-final", "20", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("solver error: eigensolver failed to converge")
+    assert not out.exists()
+
+
 def test_singular_solve_is_solver_failure(capsys):
     # LinAlgError subclasses ValueError yet is a failed solve, not bad input
     code = _exit_code(lambda args: np.linalg.solve(np.zeros((2, 2)), np.ones(2)), None)
@@ -835,6 +871,57 @@ def test_eval_unreferenced_vertex_names_the_file(fixture_dir, tmp_path, capsys):
     assert sum("isolated vertices" in str(w.message) for w in warned) == 1
     report.assert_not_called()
     assert not out.exists()
+
+
+def _flattened(v, f):
+    # every vertex on the x axis: every face has zero area
+    return v * [1.0, 0.0, 0.0], f
+
+
+def test_refine_zero_area_mesh_names_the_file(fixture_dir, tmp_path, capsys):
+    # the areas are checked before normalizing, so no division by the zero
+    # total area warns, and no basis is computed
+    with mock.patch.object(cli, "compute_basis") as basis, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, path, out = _refine_edited_target(fixture_dir, tmp_path, _flattened)
+    assert code == 2
+    assert capsys.readouterr() == ("", (
+        "error: %s: vertex 0 has zero area (it is in no face, or only in zero-area faces)\n"
+        % path))
+    basis.assert_not_called()
+    assert not out.exists()
+
+
+def test_eval_zero_area_mesh_names_the_file(fixture_dir, tmp_path, capsys):
+    path = _edited_target(fixture_dir, tmp_path, _flattened)
+    n = read_off(fixture_dir / "src.off")[0].shape[0]
+    map_12, out = tmp_path / "m12.txt", tmp_path / "eval.csv"
+    sm_io.write_pointwise_map(map_12, PointwiseMap(np.zeros(n, dtype=np.int64), n))
+    with mock.patch.object(cli, "compute_report") as report, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--src", str(fixture_dir / "src.off"), "--tgt", str(path),
+                     "--map12", str(map_12), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", (
+        "error: %s: vertex 0 has zero area (it is in no face, or only in zero-area faces)\n"
+        % path))
+    report.assert_not_called()
+    assert not out.exists()
+
+
+def test_eval_overflowing_area_names_the_file(tmp_path, capsys):
+    # every vertex area is inf, not zero, so normalizing is what fails
+    mesh = tmp_path / "big.off"
+    mesh.write_text("OFF\n4 2 0\n0 0 0\n1e200 0 0\n0 1e200 0\n1e200 1e200 0\n"
+                    "3 0 1 2\n3 1 3 2\n")
+    map_12 = tmp_path / "m12.txt"
+    sm_io.write_pointwise_map(map_12, PointwiseMap(np.arange(4), 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # the areas overflow
+        code = main(["eval", "--src", str(mesh), "--tgt", str(mesh), "--map12", str(map_12)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: %s: total area is inf; normalizing needs a "
+                                       "positive, finite one\n" % mesh)
 
 
 def _seam(v, f):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -435,6 +437,19 @@ def test_farthest_points_count_out_of_range(count):
 # ----------------------------------------------------------------------
 # normalization
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("scale, area", [(0.0, "0"), (1e160, "nan")], ids=["zero", "overflow"])
+def test_normalized_rejects_zero_or_non_finite_area(scale, area):
+    sphere = icosphere(2)
+    mesh = TriMesh(sphere.vertices * [1.0, scale, scale], sphere.faces)
+    with np.errstate(all="ignore"):
+        mesh.face_areas     # the overflow is in the input, not in normalized()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^total area is %s; normalizing needs a "
+                                             "positive, finite one$" % area):
+            mesh.normalized()
+
+
 def test_normalized_unit_area_centered(rng):
     mesh = hull_mesh(rng, 40, normalize=False)
     mesh = TriMesh(mesh.vertices * 3.7 + np.array([1.0, -2.0, 0.5]), mesh.faces)

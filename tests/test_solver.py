@@ -501,14 +501,19 @@ def test_refine_rhm_improves_jittered_sphere():
     assert smoothness_metric(f_12, m1, m2) * 1.5 <= ed0
 
 
-def _jittered_sphere_run(sphere2, sphere2_basis, cfg):
-    # maps and trace rows of one refine run, as bytes
+def _jittered_sphere_pair(sphere2, sphere2_basis):
+    # a jittered copy of sphere2, its basis, and landmark-initialized maps
     from smoothmatch.synth import jittered_copy
 
     m2 = jittered_copy(icosphere(2), 0.02, seed=1).normalized()
     b2 = compute_basis(m2, 100)
     lm = farthest_point_indices(sphere2, 5)
-    pi_12, pi_21 = landmark_init(np.column_stack([lm, lm]), sphere2_basis, b2)
+    return (m2, b2) + landmark_init(np.column_stack([lm, lm]), sphere2_basis, b2)
+
+
+def _jittered_sphere_run(sphere2, sphere2_basis, cfg):
+    # maps and trace rows of one refine run, as bytes
+    m2, b2, pi_12, pi_21 = _jittered_sphere_pair(sphere2, sphere2_basis)
     f_12, f_21, trace = refine(pi_12, pi_21, sphere2, m2, sphere2_basis, b2, cfg)
     rows = np.array([[r[c] for c in trace.COLUMNS] for r in trace.rows])
     return f_12.target_of.tobytes() + f_21.target_of.tobytes(), rows.tobytes()
@@ -531,12 +536,27 @@ def test_refine_rhm_mu_zero_is_dirichlet(sphere2, sphere2_basis, beta):
     assert runs[0] == runs[1]
 
 
-def test_refine_rhm_mu_zero_factors_once_per_mesh(sphere2, sphere2_basis):
-    # at mu = 0 the RHM Y-step is the Dirichlet one, whose map-independent
-    # system refine factors once per mesh rather than once per Y-step
+# prefactored calls of one refine run under the default schedule (9
+# iterations, two Y-steps each), at the energy's default beta and at 0
+_FACTOR_COUNTS = {"dirichlet": (2, 0), "nicp": (2, 0), "arap": (2, 0), "shells": (0, 0),
+                  "rhm": (18, 18), "rhm_mu0": (2, 0)}
+
+
+@pytest.mark.parametrize("beta", ["default", "beta0"])
+@pytest.mark.parametrize("name", list(_FACTOR_COUNTS))
+def test_refine_factor_count_per_energy(sphere2, sphere2_basis, name, beta):
+    # a map-independent system (rhm's too at mu = 0, where its Y-step is the
+    # Dirichlet one) is factored once per mesh and refine call; rhm's
+    # map-dependent one at mu > 0 once per Y-step, beta = 0 included;
+    # shells solves in the basis.  A second call factors afresh.
+    m2, b2, pi_12, pi_21 = _jittered_sphere_pair(sphere2, sphere2_basis)
+    variant = Variant("rhm", mu=0.0) if name == "rhm_mu0" else Variant(name)
+    config = SolverConfig(variant=variant, beta=None if beta == "default" else 0.0)
+    count = _FACTOR_COUNTS[name][beta == "beta0"]
     with mock.patch.object(variants, "prefactored", wraps=variants.prefactored) as factor:
-        _jittered_sphere_run(sphere2, sphere2_basis, SolverConfig(variant=Variant("rhm", mu=0.0)))
-    assert factor.call_count == 2
+        for calls in (1, 2):
+            refine(pi_12, pi_21, sphere2, m2, sphere2_basis, b2, config)
+            assert factor.call_count == calls * count
 
 
 @pytest.mark.parametrize("kind, block", [("nicp", 4), ("dirichlet", 1), ("arap", 1)])

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from oracles import nearest_rows_slow, dense_pi
-from conftest import hull_mesh, jittered_icosphere, random_map
+from conftest import arpack_no_convergence, hull_mesh, jittered_icosphere, random_map
 
 from smoothmatch import spectral
 from smoothmatch.synth import icosphere
@@ -88,6 +88,15 @@ def test_dense_and_sparse_paths_agree(rng):
     lam, _ = eigsh(mesh.cot_matrix.tocsc(), k=10, M=sparse.diags(mesh.vertex_areas).tocsc(),
                    sigma=-1e-8, which="LM", v0=v0)
     assert np.allclose(np.sort(lam), b_dense.lam, rtol=1e-6, atol=1e-8)
+
+
+def test_eigensolver_no_convergence_is_runtime_error(monkeypatch):
+    # icosphere(3) has 642 vertices, above the dense limit, so ARPACK runs
+    monkeypatch.setattr(spectral, "eigsh", arpack_no_convergence)
+    mesh = icosphere(3).normalized()
+    assert mesh.n_vertices > spectral._DENSE_EIGEN_LIMIT
+    with pytest.raises(RuntimeError, match="^eigensolver failed to converge: ARPACK error -1"):
+        compute_basis(mesh, 10)
 
 
 def test_sliced_view(sphere2_basis):

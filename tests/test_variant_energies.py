@@ -44,10 +44,10 @@ def _state_with_y_steps(rng, kind, m1, m2, b1, b2):
     variant = config.variant
     state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
     state.y_12, state.aux_12 = run_y_step(
-        variant, config.beta, state.pi_12, state.pi_21, m1, m2, b1, solve=None
+        variant, config.beta, state.pi_12, state.pi_21, m1, m2, b1
     )
     state.y_21, state.aux_21 = run_y_step(
-        variant, config.beta, state.pi_21, state.pi_12, m2, m1, b2, solve=None
+        variant, config.beta, state.pi_21, state.pi_12, m2, m1, b2
     )
     return variant, config, state
 

@@ -206,7 +206,8 @@ def test_nicp_unfactored_solve_uses_vertex_blocks(rng, monkeypatch):
     d, y = y_step_nicp(pi, m1, m2, 1e-2)
     monkeypatch.undo()
     assert blocks == [4]
-    d_ref, y_ref = y_step_nicp(pi, m1, m2, 1e-2, solve=factor(nicp_operator(m1, 1e-2), 4))
+    solve = factor(nicp_operator(m1, 1e-2), 4)
+    d_ref, y_ref = y_step_nicp(pi, m1, m2, 1e-2, factored=lambda build, mesh, *weights: solve)
     assert np.array_equal(d, d_ref) and np.array_equal(y, y_ref)
 
 
