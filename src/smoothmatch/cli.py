@@ -17,7 +17,7 @@ from . import io as sm_io
 from .energies import format_breakdown
 from .mesh import load_mesh, write_off
 from .metrics import checked_ground_truth, compute_report
-from .solver import SolverConfig, landmark_init, refine
+from .solver import SolverConfig, check_landmarks, landmark_init, refine
 from .spectral import compute_basis, p2p_to_fmap
 from .synth import farthest_point_indices, icosphere, jittered_copy
 from .variants import VARIANT_KINDS, Variant
@@ -172,24 +172,9 @@ def _print_config(config, args):
 
 
 def _load_meshes(args):
-    """The source and target meshes; a vertex of zero area fails, naming its file."""
-    # the bases and the metrics weight every vertex by its area, and a
-    # vertex in no face is a component of its own; the areas are checked
-    # before normalizing, which would turn a mesh of zero area into nan
-    paths = (args.src, args.tgt)
-    meshes = [load_mesh(_require(path, what), normalize=False)
-              for path, what in zip(paths, ("source mesh", "target mesh"))]
-    for i, (path, mesh) in enumerate(zip(paths, meshes)):
-        flat = np.flatnonzero(~(mesh.vertex_areas > 0))
-        if flat.size:
-            raise ValueError("%s: vertex %d has zero area (it is in no face, or only in "
-                             "zero-area faces)" % (path, flat[0]))
-        if not args.no_normalize:
-            try:
-                meshes[i] = mesh.normalized()
-            except ValueError as exc:       # a total area that overflows to inf
-                raise ValueError("%s: %s" % (path, exc)) from None
-    return meshes
+    """The source and target meshes; ``load_mesh`` names the file of a bad one."""
+    return [load_mesh(_require(path, what), normalize=not args.no_normalize)
+            for path, what in ((args.src, "source mesh"), (args.tgt, "target mesh"))]
 
 
 def _cmd_refine(args):
@@ -199,6 +184,10 @@ def _cmd_refine(args):
     if args.landmarks:
         pairs = sm_io.read_index_pairs(_require(args.landmarks, "landmark file"),
                                        (mesh_1.n_vertices, mesh_2.n_vertices))
+        try:
+            check_landmarks(pairs, mesh_1.n_vertices, mesh_2.n_vertices)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (args.landmarks, exc)) from None
     else:
         pi_12 = _read_map(args.init_map[0], mesh_1.n_vertices, mesh_2.n_vertices)
         pi_21 = _read_map(args.init_map[1], mesh_2.n_vertices, mesh_1.n_vertices)

@@ -38,6 +38,10 @@ class TriMesh:
     faces : (m, 3) array_like
         Vertex indices, three distinct indices per face.
 
+    A non-finite coordinate, or a face whose indices are out of range or
+    repeated, raises ``ValueError`` naming the first such row.  Isolated
+    vertices only warn; :func:`load_mesh` rejects every zero-area vertex.
+
     Attributes
     ----------
     vertices : (n, 3) float64 ndarray
@@ -51,19 +55,10 @@ class TriMesh:
             raise ValueError("vertices must be an (n, 3) array")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise ValueError("faces must be an (m, 3) array")
-        if self.faces.size:
-            if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
-                raise ValueError("face index out of range")
-            repeated = (
-                (self.faces[:, 0] == self.faces[:, 1])
-                | (self.faces[:, 1] == self.faces[:, 2])
-                | (self.faces[:, 2] == self.faces[:, 0])
-            )
-            if repeated.any():
-                raise ValueError(
-                    "degenerate face %d: repeated vertex index"
-                    % int(np.flatnonzero(repeated)[0])
-                )
+        for what, bad, message in _row_checks(self.vertices, self.faces):
+            first = np.flatnonzero(bad)
+            if first.size:
+                raise ValueError("%s %d: %s" % (what, first[0], message))
         used = np.zeros(self.n_vertices, dtype=bool)
         used[self.faces.ravel()] = True
         if not used.all():
@@ -283,6 +278,9 @@ def load_mesh(path, normalize=True):
     normalize : bool
         If true (default), translate to centroid origin and scale to
         unit surface area; all fixed solver weights assume this.
+
+    A vertex of zero lumped area raises ``ValueError`` naming the file,
+    before normalizing, which would turn a mesh of zero area into ``nan``.
     """
     p = str(path)
     lower = p.lower()
@@ -293,16 +291,35 @@ def load_mesh(path, normalize=True):
     else:
         raise ValueError("unsupported mesh format (expected .off or .obj): %s" % p)
     mesh = TriMesh(verts, faces)
-    return mesh.normalized() if normalize else mesh
+    flat = np.flatnonzero(~(mesh.vertex_areas > 0))
+    if flat.size:
+        raise ValueError("%s: vertex %d has zero area (it is in no face, or only in "
+                         "zero-area faces)" % (p, flat[0]))
+    try:
+        return mesh.normalized() if normalize else mesh
+    except ValueError as exc:       # a total area that overflows to inf
+        raise ValueError("%s: %s" % (p, exc)) from None
+
+
+def _row_checks(verts, faces):
+    """The row checks of every mesh, in the order they are reported, as
+    ``(what, bad, message)``: ``bad`` flags the failing ``what`` rows."""
+    (x, y, z), (a, b, c) = verts.T, faces.T
+    return (
+        ("vertex", ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)),
+         "non-finite vertex coordinate"),
+        ("face", (np.minimum(np.minimum(a, b), c) < 0)
+         | (np.maximum(np.maximum(a, b), c) >= len(verts)), "face index out of range"),
+        ("face", (a == b) | (b == c) | (c == a), "degenerate face (repeated vertex index)"),
+    )
 
 
 def _checked(path, verts, vertex_rows, faces, face_rows):
-    # one vectorized pass after parsing; the *_rows are the rows_of of io._table
-    _reject(path, ~np.isfinite(verts).all(axis=1), vertex_rows, "non-finite vertex coordinate")
-    _reject(path, ((faces < 0) | (faces >= len(verts))).any(axis=1), face_rows,
-            "face index out of range")
-    _reject(path, (faces == np.roll(faces, 1, axis=1)).any(axis=1), face_rows,
-            "degenerate face (repeated vertex index)")
+    # the row checks of TriMesh, named as path:line; the *_rows are the
+    # rows_of of io._table
+    rows_of = {"vertex": vertex_rows, "face": face_rows}
+    for what, bad, message in _row_checks(verts, faces):
+        _reject(path, bad, rows_of[what], message)
     return verts, faces
 
 

@@ -79,14 +79,14 @@ def _distance_lookup(mesh, from_idx, to_idx):
         return out
     out[todo] = np.inf
     edge = mesh.edge_lengths.mean()
-    # no bounded pass at a zero or nan mean edge length (degenerate or
-    # non-finite edges): the unbounded pass gives every value
+    # no bounded pass at a zero mean edge length (coincident vertices):
+    # the unbounded pass gives every value
     for limit in [e * edge for e in _LIMIT_EDGES if edge > 0] + [np.inf]:
         uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
         blocks = (_local_blocks(mesh, uniq, limit) if limit < np.inf
                   else _split(np.arange(uniq.size), None, mesh.n_vertices))
-        # order the pairs by block; a source in no block keeps its pairs inf
-        label = np.full(uniq.size, len(blocks))
+        # order the pairs by block; every source is in exactly one
+        label = np.empty(uniq.size, dtype=np.int64)
         for b, (members, _) in enumerate(blocks):
             label[members] = b
         pair_label = label[inverse]
@@ -134,29 +134,23 @@ def _local_blocks(mesh, sources, limit):
     monotonically, so it keeps such a vertex.  It is at
     most about a quarter cell from its source along each axis, and with
     at most 2**20 cells per axis the cell indices are off by far less
-    than a cell, so the neighbouring cells hold it.  Sources with a
-    non-finite coordinate are in no group: a finite mean edge length
-    means that no edge meets them.  Groups are split so that no block
-    exceeds ``_BLOCK_ENTRIES`` entries.
+    than a cell, so the neighbouring cells hold it.  Groups are split so
+    that no block exceeds ``_BLOCK_ENTRIES`` entries.
     """
     verts = mesh.vertices
-    finite = np.flatnonzero(np.isfinite(verts).all(axis=1))
-    pts = verts[finite]
-    low = pts.min(axis=0)
-    side = max(4.0 * limit, float((pts.max(axis=0) - low).max()) / 2**20)
+    low = verts.min(axis=0)
+    side = max(4.0 * limit, float((verts.max(axis=0) - low).max()) / 2**20)
     # cells counted from 1, so that a neighbour's index is never negative
-    cell = np.floor((pts - low) / side).astype(np.int64) + 1
+    cell = np.floor((verts - low) / side).astype(np.int64) + 1
     dims = cell.max(axis=0) + 2
-    key = np.full(mesh.n_vertices, -1)
-    key[finite] = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
-    by_cell = finite[np.argsort(key[finite], kind="stable")]
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    by_cell = np.argsort(key, kind="stable")
     sorted_key = key[by_cell]
     # a z-run of three cells for each of the 9 (x, y) neighbour columns
     offsets = np.add.outer(np.arange(-1, 2) * dims[1], np.arange(-1, 2)).ravel() * dims[2]
 
     src_key = key[sources]
-    grouped = np.flatnonzero(src_key >= 0)
-    grouped = grouped[np.argsort(src_key[grouped], kind="stable")]
+    grouped = np.argsort(src_key, kind="stable")
     cells, first = np.unique(src_key[grouped], return_index=True)
     runs = cells[:, None] + offsets
     starts = np.searchsorted(sorted_key, runs - 1, side="left")

@@ -271,6 +271,23 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
     return state.pi_12, state.pi_21, trace
 
 
+def check_landmarks(landmarks, n_1, n_2):
+    """``landmarks`` as an ``(L, 2)`` int array; ValueError unless
+    ``L >= 2`` and each column holds distinct indices into its mesh,
+    of ``n_1`` and ``n_2`` vertices."""
+    lm = np.asarray(landmarks, dtype=np.int64)
+    if lm.ndim != 2 or lm.shape[1] != 2:
+        raise ValueError("landmarks must be an (L, 2) index array")
+    if lm.shape[0] < 2:
+        raise ValueError("need at least 2 landmarks")
+    for col, n in enumerate((n_1, n_2)):
+        if np.unique(lm[:, col]).size != lm.shape[0]:
+            raise ValueError("duplicate landmark indices on mesh %d" % (col + 1))
+        if lm[:, col].min() < 0 or lm[:, col].max() >= n:
+            raise ValueError("landmark index out of range on mesh %d" % (col + 1))
+    return lm
+
+
 def landmark_init(landmarks, basis_1, basis_2):
     """Initial map pair from a few landmark correspondences.
 
@@ -283,19 +300,10 @@ def landmark_init(landmarks, basis_1, basis_2):
     Parameters
     ----------
     landmarks : (L, 2) array_like
-        Rows ``(index on mesh 1, index on mesh 2)``, L >= 2.
+        Rows ``(index on mesh 1, index on mesh 2)``, checked by
+        :func:`check_landmarks`.
     """
-    lm = np.asarray(landmarks, dtype=np.int64)
-    if lm.ndim != 2 or lm.shape[1] != 2:
-        raise ValueError("landmarks must be an (L, 2) index array")
-    if lm.shape[0] < 2:
-        raise ValueError("need at least 2 landmarks")
-    for col, basis in ((0, basis_1), (1, basis_2)):
-        if np.unique(lm[:, col]).size != lm.shape[0]:
-            raise ValueError("duplicate landmark indices on mesh %d" % (col + 1))
-        if lm[:, col].min() < 0 or lm[:, col].max() >= basis.n:
-            raise ValueError("landmark index out of range on mesh %d" % (col + 1))
-
+    lm = check_landmarks(landmarks, basis_1.n, basis_2.n)
     k0 = lm.shape[0]
     if k0 > min(basis_1.k, basis_2.k):
         raise ValueError("%d landmarks need as many eigenpairs; the bases hold %d"

@@ -139,7 +139,7 @@ def eigenbasis(w, areas, k):
         raise ValueError("k=%d must be smaller than n=%d" % (k, n))
     if k < 1:
         raise ValueError("k must be positive")
-    if np.any(areas <= 0):
+    if np.any(~(areas > 0)):
         raise ValueError("mass matrix must be positive (isolated vertices?)")
 
     if n <= _DENSE_EIGEN_LIMIT or k > n - 2:

@@ -526,12 +526,14 @@ def test_refine_bad_ground_truth_fails_before_writing(fixture_dir, tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("lm_text, line", [
-    ("0 0\n5 9999\n", 2),          # past the target mesh
-    ("# src tgt\n-1 3\n4 4\n", 2),  # negative source index
-], ids=["past_target", "negative"])
+@pytest.mark.parametrize("lm_text, message", [
+    ("0 0\n5 9999\n", "lm.txt:2: index pair out of range [0, 162) x [0, 162)"),
+    ("# src tgt\n-1 3\n4 4\n", "lm.txt:2: index pair out of range [0, 162) x [0, 162)"),
+    ("0 0\n0 5\n9 9\n", "lm.txt: duplicate landmark indices on mesh 1"),
+    ("0 0\n", "lm.txt: need at least 2 landmarks"),
+], ids=["past_target", "negative", "duplicate", "one_line"])
 def test_refine_bad_landmarks_fail_before_the_bases(fixture_dir, tmp_path, capsys,
-                                                    lm_text, line):
+                                                    lm_text, message):
     lm = tmp_path / "lm.txt"
     lm.write_text(lm_text)
     out = tmp_path / "o"
@@ -542,8 +544,7 @@ def test_refine_bad_landmarks_fail_before_the_bases(fixture_dir, tmp_path, capsy
             "--landmarks", str(lm), "--out", str(out),
         ])
     assert code == 2
-    assert "lm.txt:%d: index pair out of range [0, 162) x [0, 162)" % line \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: %s/%s\n" % (tmp_path, message)
     basis.assert_not_called()
     assert not out.exists()
 

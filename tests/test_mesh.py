@@ -15,6 +15,7 @@ from smoothmatch.mesh import (
     geodesic_distances,
     load_mesh,
     read_obj,
+    read_off,
     vertex_areas,
     write_off,
 )
@@ -131,7 +132,14 @@ def test_truncated_or_malformed_mesh_rejected(tmp_path, name, text, suffix):
     (np.zeros(9), [[0, 1, 2]], "vertices must be an (n, 3) array"),
     (np.eye(3), [[0, 1]], "faces must be an (m, 3) array"),
     (np.eye(3), [0, 1, 2], "faces must be an (m, 3) array"),
-], ids=["vertices_2d", "vertices_flat", "faces_2_wide", "faces_flat"])
+    ([[0, 0, 0], [np.nan, 0, 0], [0, 1, 0]], [[0, 1, 2]],
+     "vertex 1: non-finite vertex coordinate"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, -np.inf]], [[0, 1, 2]],
+     "vertex 2: non-finite vertex coordinate"),
+    (np.eye(3), [[0, 1, 2], [0, 2, 3]], "face 1: face index out of range"),
+    (np.eye(3), [[0, 1, 2], [2, 1, 2]], "face 1: degenerate face (repeated vertex index)"),
+], ids=["vertices_2d", "vertices_flat", "faces_2_wide", "faces_flat", "vertex_nan",
+        "vertex_inf", "face_out_of_range", "face_repeated_index"])
 def test_trimesh_shape_errors(vertices, faces, message):
     with pytest.raises(ValueError) as exc:
         TriMesh(vertices, faces)
@@ -174,9 +182,9 @@ def test_off_roundtrip(tmp_path_factory, mesh):
     # subnormals included
     path = tmp_path_factory.mktemp("off") / "m.off"
     write_off(mesh, path)
-    back = load_mesh(path, normalize=False)
-    assert np.array_equal(back.faces, mesh.faces)
-    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    verts, faces = read_off(path)
+    assert np.array_equal(faces, mesh.faces)
+    assert verts.tobytes() == mesh.vertices.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:.*isolated vertices")

@@ -250,17 +250,6 @@ def test_lookup_cross_component_pairs(rng):
     assert calls[-1][1] == np.inf
 
 
-def test_lookup_ends_on_non_finite_lengths(rng):
-    # a nan vertex makes the mean edge length, and so every bounded
-    # limit, nan; the unbounded pass still gives the unbounded values
-    sphere = icosphere(2)
-    verts = sphere.vertices.copy()
-    verts[3] = np.nan
-    mesh = TriMesh(verts, sphere.faces)
-    assert_lookup_exact(mesh, rng.integers(0, mesh.n_vertices, 300),
-                        rng.integers(0, mesh.n_vertices, 300))
-
-
 def test_lookup_ends_on_zero_lengths(rng):
     # coincident vertices make the mean edge length, and so every
     # bounded limit, zero: only the unbounded pass runs

@@ -466,9 +466,10 @@ def test_pointwise_map_compose():
 # ----------------------------------------------------------------------
 # input checks
 # ----------------------------------------------------------------------
-def _zero_area(mesh):
+def _area_of_3(mesh, value):
+    # the lumped areas with vertex 3's replaced by value
     areas = mesh.vertex_areas.copy()
-    areas[3] = 0.0
+    areas[3] = value
     return areas
 
 
@@ -482,16 +483,18 @@ def _zero_area(mesh):
     (lambda m, b: PointwiseMap([0, 1], 2).compose(PointwiseMap([0, 0, 0], 1)),
      "maps are not composable"),
     (lambda m, b: eigenbasis(m.cot_matrix, m.vertex_areas, 0), "k must be positive"),
-    (lambda m, b: eigenbasis(m.cot_matrix, _zero_area(m), 5),
+    (lambda m, b: eigenbasis(m.cot_matrix, _area_of_3(m, 0.0), 5),
      "mass matrix must be positive (isolated vertices?)"),
     (lambda m, b: eigenbasis(m.cot_matrix, -m.vertex_areas, 5),
+     "mass matrix must be positive (isolated vertices?)"),
+    (lambda m, b: eigenbasis(m.cot_matrix, _area_of_3(m, np.nan), 5),
      "mass matrix must be positive (isolated vertices?)"),
     (lambda m, b: fmap_to_p2p(np.zeros((6, 5)), b.sliced(5), b.sliced(5)),
      "functional map larger than the stored bases"),
     (lambda m, b: fmap_to_p2p(np.zeros((5, 6)), b.sliced(5), b.sliced(5)),
      "functional map larger than the stored bases"),
 ], ids=["basis_phi_cols", "basis_areas", "map_2d", "compose", "k_zero", "zero_area",
-        "negative_areas", "fmap_rows", "fmap_cols"])
+        "negative_areas", "nan_area", "fmap_rows", "fmap_cols"])
 def test_spectral_input_errors(sphere2, sphere2_basis, call, message):
     with pytest.raises(ValueError) as exc:
         call(sphere2, sphere2_basis)
