@@ -24,7 +24,9 @@ block comes from ``config.variant.energy``); ``gamma`` follows the
 solver's schedule, one value per iteration, and is passed explicitly.
 
 The terms that depend on the maps are stated once, in ``map_terms``;
-the report sums them, and the Pi-step stacks them into its embedding.
+the report sums them, and ``pi_step_embedding`` stacks them into the
+Pi-step's embedding.  ``c_step_system`` states the C-step's normal
+equations.  The solver only solves the problems these two state.
 """
 
 from collections import namedtuple
@@ -87,15 +89,60 @@ def map_terms(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma):
             Term("e_bij", 1.0, phi_src, (phi_tgt, c_other))]
 
 
-def pi_step_terms(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma):
-    """The ``map_terms`` the Pi-step minimizes: the spectral coupling, the
-    spatial one when weighted, bijectivity with ``config.exact_pi_step``."""
+def c_step_system(pi_back, pi_fwd, basis_i, basis_j, config):
+    """The C-step's K x K SPD normal equations ``(lhs, rhs)`` for ``C_ji``,
+    the pull-back of ``pi_fwd`` (i to j; ``pi_back`` maps j to i), at
+    ``config.alpha``, or with a 1e-9 ridge at alpha = 0; K is the size of
+    ``basis_i``."""
+    # exact minimizer over C_ji of both terms it appears in:
+    #   |Pi_ji Phi_i C - Phi_j|^2_{A_j} + alpha |Phi_i C - Pi_ij Phi_j|^2_{A_i}
+    # which, with Phi_i.T A_i Phi_i = I, gives
+    #   (Phi_i.T Pi_ji.T A_j Pi_ji Phi_i + alpha I) C
+    #        = Phi_i.T Pi_ji.T A_j Phi_j + alpha Phi_i.T A_i Pi_ij Phi_j
+    a_j = basis_j.areas
+    pulled = basis_i.phi[pi_back.target_of]               # Pi_ji Phi_i
+    lhs = pulled.T @ (a_j[:, None] * pulled)
+    rhs = pulled.T @ (a_j[:, None] * basis_j.phi)
+    # rank-deficient map images can make the pure bijectivity system
+    # singular, so alpha = 0 takes a tiny documented ridge instead
+    lhs = lhs + (config.alpha if config.alpha > 0 else 1e-9) * np.eye(basis_i.k)
+    if config.alpha > 0:
+        rhs = rhs + config.alpha * p2p_to_fmap(pi_fwd, basis_i, basis_j)
+    return lhs, rhs
+
+
+def _value(operand, out=None):
+    # an operand (a, b) stands for a @ b; with ``out`` it is written there
+    if isinstance(operand, tuple):
+        return np.matmul(*operand, out=out)
+    return operand if out is None else np.copyto(out, operand)
+
+
+def _width(operand):
+    return (operand[1] if isinstance(operand, tuple) else operand).shape[1]
+
+
+def pi_step_embedding(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma):
+    """The Pi-step's ``(query, data)`` for the map src -> tgt, whose
+    pull-back is ``c_own``.
+
+    Per source vertex q, the data row nearest to query row q minimizes
+    (up to the positive row weight A_src[q]) the weighted sum of the
+    ``map_terms`` the Pi-step takes: the spectral coupling, the spatial
+    one when weighted, bijectivity with ``config.exact_pi_step``.  Each
+    block is written scaled by sqrt(weight) into one array, so no
+    per-block copy is alive during the search.
+    """
     spec, spatial, bij = map_terms(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma)
-    return [spec] + [spatial] * (spatial.weight != 0) + [bij] * config.exact_pi_step
-
-
-def _value(operand):
-    return operand[0] @ operand[1] if isinstance(operand, tuple) else operand
+    terms = [spec] + [spatial] * (spatial.weight != 0) + [bij] * config.exact_pi_step
+    ends = np.cumsum([_width(t.data) for t in terms])
+    query = np.empty((phi_src.shape[0], ends[-1]))
+    data = np.empty((phi_tgt.shape[0], ends[-1]))
+    for term, start, end in zip(terms, np.r_[0, ends[:-1]], ends):
+        for operand, out in ((term.query, query[:, start:end]), (term.data, data[:, start:end])):
+            _value(operand, out)
+            out *= np.sqrt(term.weight)
+    return query, data
 
 
 def map_term_sums(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):

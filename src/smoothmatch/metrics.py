@@ -79,9 +79,12 @@ def _distance_lookup(mesh, from_idx, to_idx):
         return out
     out[todo] = np.inf
     edge = mesh.edge_lengths.mean()
-    # no bounded pass at a zero mean edge length (coincident vertices):
-    # the unbounded pass gives every value
-    for limit in [e * edge for e in _LIMIT_EDGES if edge > 0] + [np.inf]:
+    # no bounded pass at a zero mean edge length (coincident vertices),
+    # nor when the bounding box's extent overflows, which leaves no grid
+    # of cells: the unbounded pass gives every value
+    with np.errstate(over="ignore"):
+        bounded = edge > 0 and np.isfinite(np.ptp(mesh.vertices, axis=0)).all()
+    for limit in [e * edge for e in _LIMIT_EDGES if bounded] + [np.inf]:
         uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
         blocks = (_local_blocks(mesh, uniq, limit) if limit < np.inf
                   else _split(np.arange(uniq.size), None, mesh.n_vertices))
@@ -117,7 +120,8 @@ def _block_lookup(mesh, sources, limit, within, from_idx, to_idx):
 
 
 def _local_blocks(mesh, sources, limit):
-    """The blocks of a pass bounded at ``0 < limit < inf``: a list of
+    """The blocks of a pass bounded at ``0 < limit < inf`` on a mesh of
+    finite extent: a list of
     ``(members, within)``, where ``sources[members]`` are searched on the
     subgraph induced by ``within``.
 

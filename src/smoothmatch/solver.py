@@ -3,17 +3,19 @@
 Each outer iteration alternates exact minimizations of the combined
 objective (bijectivity plus gamma times coupled smoothness):
 
-1. C-step: both functional maps in closed form (K x K SPD systems).
+1. C-step: both functional maps in closed form, solving the K x K SPD
+   systems of ``energies.c_step_system``.
 2. Y-step: the surrogate coordinates, one sparse solve per direction on
    the freshest maps, each map-independent system factored once per call.
 3. Pi-step: per-vertex nearest-neighbor assignment in the embedding of
-   ``energies.pi_step_terms`` (row-separable exact minimization when
-   ``exact_pi_step`` is on; the default leaves the bijectivity term out,
+   ``energies.pi_step_embedding`` (row-separable exact minimization in
+   the exact Pi-step mode; the default leaves the bijectivity term out,
    keeping only the coupling terms, which is much smaller).
 
-``SolverConfig`` is the one record of the objective: its schedules,
-its weights ``alpha`` and ``beta``, the active energy and the Pi-step
-mode.  Every block step reads the config it is given.
+``energies`` states each block step's problem and this module solves
+it.  ``SolverConfig`` is the one record of the objective: its
+schedules, its weights, the active energy and the Pi-step mode.  Every
+block step reads the config it is given.
 
 Across iterations the spectral size K grows linearly and gamma follows
 a geometric ramp, so early iterations align low frequencies before the
@@ -26,18 +28,15 @@ map it represents.
 """
 
 import functools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import variants as _variants
-from .energies import energy_breakdown, pi_step_terms
+from .energies import c_step_system, energy_breakdown, pi_step_embedding
 from .io import _savetxt
-from .spectral import PointwiseMap, fmap_to_p2p, nearest_rows, p2p_to_fmap
+from .spectral import PointwiseMap, fmap_to_p2p, nearest_rows
 from .variants import Variant
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -128,73 +127,29 @@ class EnergyTrace:
                  header=",".join(self.COLUMNS))
 
 
-def _c_direction(pi_back, pi_fwd, basis_i, basis_j, alpha):
-    # exact minimizer over C_ji of both terms it appears in:
-    #   |Pi_ji Phi_i C - Phi_j|^2_{A_j} + alpha |Phi_i C - Pi_ij Phi_j|^2_{A_i}
-    # which, with Phi_i.T A_i Phi_i = I, gives the K x K SPD system
-    #   (Phi_i.T Pi_ji.T A_j Pi_ji Phi_i + alpha I) C
-    #        = Phi_i.T Pi_ji.T A_j Phi_j + alpha Phi_i.T A_i Pi_ij Phi_j
-    phi_i = basis_i.phi
-    phi_j = basis_j.phi
-    k = basis_i.k
-    a_j = basis_j.areas
-    pulled = phi_i[pi_back.target_of]                     # Pi_ji Phi_i
-    lhs = pulled.T @ (a_j[:, None] * pulled)
-    rhs = pulled.T @ (a_j[:, None] * phi_j)
-    if alpha > 0:
-        lhs = lhs + alpha * np.eye(k)
-        rhs = rhs + alpha * p2p_to_fmap(pi_fwd, basis_i, basis_j)
-    else:
-        # rank-deficient map images can make the pure bijectivity
-        # system singular; tiny documented ridge
-        lhs = lhs + 1e-9 * np.eye(k)
-        logger.debug("c_step with alpha=0: applying 1e-9 ridge")
-    return np.linalg.solve(lhs, rhs)
-
-
 def c_step(state, basis_1, basis_2, config):
     """Closed-form update of both functional maps at fixed Pi.
 
     Returns ``(c_12, c_21)`` where each K x K map is the exact joint
-    minimizer of the bijectivity energy at ``config.alpha`` in its own
-    variable; K is the size of the bases passed in.
+    minimizer of the bijectivity energy in its own variable, solving
+    ``energies.c_step_system``; K is the size of the bases passed in.
     """
-    c_21 = _c_direction(state.pi_21, state.pi_12, basis_1, basis_2, config.alpha)
-    c_12 = _c_direction(state.pi_12, state.pi_21, basis_2, basis_1, config.alpha)
+    c_21 = np.linalg.solve(*c_step_system(state.pi_21, state.pi_12, basis_1, basis_2, config))
+    c_12 = np.linalg.solve(*c_step_system(state.pi_12, state.pi_21, basis_2, basis_1, config))
     return c_12, c_21
 
 
-def _pi_direction(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, config, gamma):
-    # recover the map src -> tgt; per source vertex q the assignment
-    # minimizes (up to the positive row weight A_src[q]) the weighted sum
-    # of |query[q] - data[p]|^2 over the terms the energies module hands
-    # the Pi-step; each block is written scaled by sqrt(weight) into one
-    # array, so no per-block copy is alive during the search
-    terms = pi_step_terms(c_own, c_other, y, basis_src.phi, basis_tgt.phi, mesh_tgt.vertices,
-                          config, gamma)
-    ends = np.cumsum([(t.data[1] if isinstance(t.data, tuple) else t.data).shape[1] for t in terms])
-    query = np.empty((basis_src.n, ends[-1]))
-    data = np.empty((basis_tgt.n, ends[-1]))
-    for term, start, end in zip(terms, np.r_[0, ends[:-1]], ends):
-        for operand, out in ((term.query, query[:, start:end]), (term.data, data[:, start:end])):
-            # an operand (a, b) stands for a @ b
-            if isinstance(operand, tuple):
-                np.matmul(*operand, out=out)
-                out *= np.sqrt(term.weight)
-            else:
-                np.multiply(operand, np.sqrt(term.weight), out=out)
-    return PointwiseMap(nearest_rows(query, data), mesh_tgt.n_vertices)
-
-
 def pi_step(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
-    """Row-separable assignment update of both pointwise maps.
+    """Row-separable assignment update of both pointwise maps: each is
+    the nearest-row search in its ``energies.pi_step_embedding``.
 
-    The bases hold the K eigenpairs of the state's K x K functional maps;
-    ``config.exact_pi_step`` selects the exact embedding.
+    The bases hold the K eigenpairs of the state's K x K functional maps.
     """
-    pi_12 = _pi_direction(state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2, config, gamma)
-    pi_21 = _pi_direction(state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_1, config, gamma)
-    return pi_12, pi_21
+    pi_12 = nearest_rows(*pi_step_embedding(state.c_21, state.c_12, state.y_12, basis_1.phi,
+                                            basis_2.phi, mesh_2.vertices, config, gamma))
+    pi_21 = nearest_rows(*pi_step_embedding(state.c_12, state.c_21, state.y_21, basis_2.phi,
+                                            basis_1.phi, mesh_1.vertices, config, gamma))
+    return PointwiseMap(pi_12, mesh_2.n_vertices), PointwiseMap(pi_21, mesh_1.n_vertices)
 
 
 def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
@@ -231,8 +186,6 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
     if pi_21.n_src != mesh_2.n_vertices or pi_21.n_tgt != mesh_1.n_vertices:
         raise ValueError("pi_21 does not match the meshes")
 
-    variant = config.variant
-    beta = config.beta
     ks = config.k_schedule()
     gammas = config.gamma_schedule()
 
@@ -252,10 +205,10 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
         state.c_12, state.c_21 = c_step(state, b1, b2, config)
 
         state.y_12, state.aux_12 = _variants.run_y_step(
-            variant, beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, factored
+            config.variant, config.beta, state.pi_12, state.pi_21, mesh_1, mesh_2, b1, factored
         )
         state.y_21, state.aux_21 = _variants.run_y_step(
-            variant, beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, factored
+            config.variant, config.beta, state.pi_21, state.pi_12, mesh_2, mesh_1, b2, factored
         )
 
         new_12, new_21 = pi_step(state, mesh_1, mesh_2, b1, b2, config, gamma)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written with plain Python loops and
 dense matrices, along code paths disjoint from the library, so the
-vectorized/sparse implementations can be checked against it.
+vectorized/sparse implementations can be checked against it.  The
+``_reference`` functions are the exception: frozen copies of earlier
+library code, which a refactor must reproduce bit for bit.
 """
 
 import heapq
@@ -150,6 +152,26 @@ def c_step_slow(state, basis_1, basis_2, weights, k):
     c_21 = one(state.pi_21, state.pi_12, basis_1, basis_2)
     c_12 = one(state.pi_12, state.pi_21, basis_2, basis_1)
     return c_12, c_21
+
+
+def c_step_reference(pi_back, pi_fwd, basis_i, basis_j, alpha):
+    """``C_ji`` as the C-step computed it before its normal equations
+    moved to ``energies``: same operations in the same order."""
+    from smoothmatch.spectral import p2p_to_fmap
+
+    phi_i = basis_i.phi
+    phi_j = basis_j.phi
+    k = basis_i.k
+    a_j = basis_j.areas
+    pulled = phi_i[pi_back.target_of]
+    lhs = pulled.T @ (a_j[:, None] * pulled)
+    rhs = pulled.T @ (a_j[:, None] * phi_j)
+    if alpha > 0:
+        lhs = lhs + alpha * np.eye(k)
+        rhs = rhs + alpha * p2p_to_fmap(pi_fwd, basis_i, basis_j)
+    else:
+        lhs = lhs + 1e-9 * np.eye(k)
+    return np.linalg.solve(lhs, rhs)
 
 
 def pi_step_exact_slow(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, gamma):

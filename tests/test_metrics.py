@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -257,6 +258,21 @@ def test_lookup_ends_on_zero_lengths(rng):
     mesh = TriMesh(np.zeros_like(sphere.vertices), sphere.faces)
     calls = assert_lookup_exact(mesh, rng.integers(0, mesh.n_vertices, 300),
                                 rng.integers(0, mesh.n_vertices, 300))
+    assert calls and {limit for _, limit, _ in calls} == {np.inf}
+
+
+def test_lookup_ends_on_overflowing_extent(rng):
+    # two copies at x = +-1e308: every edge is finite, but the bounding
+    # box's extent overflows, so no grid is built and only the unbounded
+    # pass runs, without a warning
+    sphere = icosphere(2)
+    n = sphere.n_vertices
+    mesh = TriMesh(np.vstack([sphere.vertices + [1e308, 0, 0], sphere.vertices - [1e308, 0, 0]]),
+                   np.vstack([sphere.faces, sphere.faces + n]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calls = assert_lookup_exact(mesh, rng.integers(0, mesh.n_vertices, 200),
+                                    rng.integers(0, mesh.n_vertices, 200))
     assert calls and {limit for _, limit, _ in calls} == {np.inf}
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from oracles import c_step_slow, pi_step_exact_slow
+from oracles import c_step_reference, c_step_slow, pi_step_exact_slow
 from conftest import hull_mesh, jittered_icosphere, random_map
 
 from smoothmatch.energies import a_norm_sq, bijectivity_energy, coupling_energy, energy_breakdown
@@ -16,7 +16,7 @@ from smoothmatch.solver import (
     pi_step,
     refine,
 )
-from smoothmatch import solver, spectral, variants
+from smoothmatch import energies, solver, spectral, variants
 from smoothmatch.spectral import PointwiseMap, compute_basis, fmap_to_p2p
 from smoothmatch.synth import farthest_point_indices, icosphere
 from smoothmatch.variants import VARIANT_KINDS, Variant, run_y_step
@@ -54,6 +54,15 @@ def test_c_step_exact_minimization_lowers_energy(rng):
         state.c_12, state.c_21 = c_step(state, b1, b2, w)
         after = bijectivity_energy(state, b1, b2, w)
         assert after <= before + 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 2.0])
+def test_c_step_bytes_match_reference(rng, alpha):
+    for _ in range(2):
+        m1, m2, b1, b2, state = random_pair(rng, 30, 32, 8)
+        c_12, c_21 = c_step(state, b1, b2, SolverConfig(alpha=alpha))
+        assert np.array_equal(c_21, c_step_reference(state.pi_21, state.pi_12, b1, b2, alpha))
+        assert np.array_equal(c_12, c_step_reference(state.pi_12, state.pi_21, b2, b1, alpha))
 
 
 def test_c_step_matches_dense_least_squares(rng):
@@ -248,12 +257,14 @@ def _pi_embedding_by_blocks(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, c
 ], ids=["default", "exact", "gamma_zero", "exact_beta_zero"])
 def test_pi_direction_embedding_bits(exact, beta, gamma):
     # the embedding written block by block in place holds the same floats
-    # as stacking the blocks, so the search gets the same arguments
+    # as stacking the blocks, and the Pi-step searches exactly it
     m1, m2 = jittered_icosphere(3, 0.25, seed=3)
     b1, b2 = compute_basis(m1, 40).sliced(30), compute_basis(m2, 40).sliced(30)
     rng = np.random.default_rng(5)
-    c_own, c_other = rng.normal(size=(2, 30, 30))
-    y = rng.normal(size=(m1.n_vertices, 3))
+    state = SolverState(identity_map(m1), identity_map(m2))
+    state.c_21, state.c_12 = rng.normal(size=(2, 30, 30))
+    state.y_12 = rng.normal(size=(m1.n_vertices, 3))
+    state.y_21 = rng.normal(size=(m2.n_vertices, 3))
     config = SolverConfig(exact_pi_step=exact, alpha=0.3, beta=beta)
     calls = []
 
@@ -262,13 +273,20 @@ def test_pi_direction_embedding_bits(exact, beta, gamma):
         return spectral.nearest_rows(queries, data)
 
     with mock.patch.object(solver, "nearest_rows", side_effect=record):
-        pi = solver._pi_direction(c_own, c_other, y, b1, b2, m2, config, gamma)
-    (queries, data), = calls
-    ref_queries, ref_data = _pi_embedding_by_blocks(c_own, c_other, y, b1, b2, m2, config, gamma)
-    for got, ref in ((queries, ref_queries), (data, ref_data)):
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert got.tobytes() == ref.tobytes()
-    assert np.array_equal(pi.target_of, spectral.nearest_rows(ref_queries, ref_data))
+        maps = pi_step(state, m1, m2, b1, b2, config, gamma)
+    assert len(calls) == 2
+    directions = ((state.c_21, state.c_12, state.y_12, b1, b2, m2),
+                  (state.c_12, state.c_21, state.y_21, b2, b1, m1))
+    for (c_own, c_other, y, b_src, b_tgt, m_tgt), call, pi in zip(directions, calls, maps):
+        ref_queries, ref_data = _pi_embedding_by_blocks(c_own, c_other, y, b_src, b_tgt, m_tgt,
+                                                        config, gamma)
+        embedding = energies.pi_step_embedding(c_own, c_other, y, b_src.phi, b_tgt.phi,
+                                               m_tgt.vertices, config, gamma)
+        for got, ref in (*zip(call, (ref_queries, ref_data)),
+                         *zip(embedding, (ref_queries, ref_data))):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(pi.target_of, spectral.nearest_rows(ref_queries, ref_data))
 
 
 # ----------------------------------------------------------------------
