@@ -103,6 +103,8 @@ def main(argv=None):
             missing.append("--landmarks or --init-map")
         if missing:
             parser.error("refine: the following arguments are required: " + ", ".join(missing))
+    if args.command == "refine" and args.jobs < 1:
+        parser.error("--jobs must be at least 1 (got %d)" % args.jobs)
     if args.command == "refine":
         command = _run_batch if args.pairs else _cmd_refine
     else:
@@ -295,9 +297,21 @@ def _cmd_eval(args):
 def _cmd_synth(args):
     if args.fixture != "icosphere":
         raise ValueError("unknown fixture %r (available: icosphere)" % args.fixture)
+    # every flag is checked before --out is created
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0 (got %d)" % args.seed)
+    try:
+        src = icosphere(args.subdiv)
+    except ValueError as exc:
+        raise ValueError("--subdiv: %s" % exc) from None
+    try:
+        tgt = jittered_copy(src, args.jitter, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError("--jitter: %s" % exc) from None
+    if not 1 <= args.landmarks <= src.n_vertices:
+        raise ValueError("--landmarks must be between 1 and %d (got %d)"
+                         % (src.n_vertices, args.landmarks))
     os.makedirs(args.out, exist_ok=True)
-    src = icosphere(args.subdiv)
-    tgt = jittered_copy(src, args.jitter, seed=args.seed)
     write_off(src, os.path.join(args.out, "src.off"))
     write_off(tgt, os.path.join(args.out, "tgt.off"))
     # dense identity ground truth: vertex i of the source corresponds

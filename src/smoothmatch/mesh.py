@@ -237,6 +237,8 @@ def geodesic_distances(mesh, sources, limit=np.inf, within=None):
         no longer than ``limit`` stays within that distance of its source:
         when ``within`` holds every vertex that close to a source, the
         distances ``<= limit`` are the same floats as on the whole mesh.
+        When it holds every vertex, the whole graph is searched without
+        a slice, which would copy it unchanged.
 
     Returns
     -------
@@ -259,7 +261,9 @@ def geodesic_distances(mesh, sources, limit=np.inf, within=None):
         position = np.searchsorted(within, sources)
         if (np.append(within, -1)[position] != sources).any():
             raise ValueError("within must contain every source")
-        graph, sources = graph[within][:, within], position
+        if within.size < n:
+            graph = graph[within][:, within]
+        sources = position
     # the graph is symmetric, so a directed search gives the undirected
     # distances, without scipy transposing the graph on every call
     return csgraph.dijkstra(graph, directed=True, indices=sources, limit=limit)

@@ -62,11 +62,13 @@ def _distance_lookup(mesh, from_idx, to_idx):
     from Dijkstra passes over their distinct sources: bounded passes at
     ``_LIMIT_EDGES`` mean edge lengths, each re-running only the sources
     with a pair still beyond the last limit, then one unbounded pass,
-    which leaves pairs across components inf.  A bounded pass searches
-    each group of nearby sources on the subgraph of the vertices that
-    can lie within the limit of them (see ``_local_blocks``); the
-    unbounded pass searches the whole mesh.  Values within a limit are
-    the same floats as from an unbounded search (see
+    which leaves pairs across components inf.  Each pass groups its
+    sources into blocks once (see ``_blocks``) and searches each block
+    on the subgraph of its ``within`` vertices: near the sources in a
+    bounded pass, every vertex in the unbounded one.  A pair whose
+    target lies in ``within`` is written straight into the result; the
+    rest stay inf for the next pass.  Values within a limit are the
+    same floats as from an unbounded search (see
     ``geodesic_distances``).  No distance block holds more than
     ``_BLOCK_ENTRIES`` entries unless it is one row, so memory is
     bounded whatever the pair count.
@@ -86,99 +88,90 @@ def _distance_lookup(mesh, from_idx, to_idx):
         bounded = edge > 0 and np.isfinite(np.ptp(mesh.vertices, axis=0)).all()
     for limit in [e * edge for e in _LIMIT_EDGES if bounded] + [np.inf]:
         uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
-        blocks = (_local_blocks(mesh, uniq, limit) if limit < np.inf
-                  else _split(np.arange(uniq.size), None, mesh.n_vertices))
+        block_of, withins = _blocks(mesh, uniq, limit)
         # order the pairs by block; every source is in exactly one
-        label = np.empty(uniq.size, dtype=np.int64)
-        for b, (members, _) in enumerate(blocks):
-            label[members] = b
-        pair_label = label[inverse]
-        order = np.argsort(pair_label, kind="stable")
-        bounds = np.searchsorted(pair_label[order], np.arange(len(blocks) + 1))
-        for b, (members, within) in enumerate(blocks):
+        pair_block = block_of[inverse]
+        order = np.argsort(pair_block, kind="stable")
+        bounds = np.searchsorted(pair_block[order], np.arange(len(withins) + 1))
+        for b, within in enumerate(withins):
             pairs = todo[order[bounds[b]:bounds[b + 1]]]
-            out[pairs] = _block_lookup(mesh, uniq[members], limit, within,
-                                       from_idx[pairs], to_idx[pairs])
+            sources, rows = np.unique(from_idx[pairs], return_inverse=True)
+            cols = np.searchsorted(within, to_idx[pairs])
+            inside = np.append(within, -1)[cols] == to_idx[pairs]
+            # the block is freed before the next one is searched
+            out[pairs[inside]] = geodesic_distances(
+                mesh, sources, limit=limit, within=within)[rows[inside], cols[inside]]
         todo = todo[np.isinf(out[todo])]
         if not todo.size:
             break
     return out
 
 
-def _block_lookup(mesh, sources, limit, within, from_idx, to_idx):
-    # the pairs' distances from one Dijkstra block over sorted sources,
-    # inf where a target is outside `within`; the block is freed on return
-    block = geodesic_distances(mesh, sources, limit=limit, within=within)
-    rows = np.searchsorted(sources, from_idx)
-    if within is None:
-        return block[rows, to_idx]
-    cols = np.searchsorted(within, to_idx)
-    inside = np.append(within, -1)[cols] == to_idx
-    d = np.full(to_idx.shape, np.inf)
-    d[inside] = block[rows[inside], cols[inside]]
-    return d
+def _blocks(mesh, sources, limit):
+    """The Dijkstra blocks of one pass over sorted distinct ``sources``:
+    ``(block_of, withins)``, where source ``sources[s]`` is searched in
+    block ``block_of[s]`` on the subgraph induced by the sorted vertices
+    ``withins[block_of[s]]``.
 
-
-def _local_blocks(mesh, sources, limit):
-    """The blocks of a pass bounded at ``0 < limit < inf`` on a mesh of
-    finite extent: a list of
-    ``(members, within)``, where ``sources[members]`` are searched on the
-    subgraph induced by ``within``.
-
-    Sources are grouped by the cell of a grid of side ``4 * limit`` that
-    holds them.  A group's ``within`` is the vertices in its sources'
-    bounding box grown by ``r``, gathered from the group's cell and its
-    26 neighbours.  A shortest path is simple, so it has fewer than n
-    edges; each edge's float length is its true length to a few ulps,
-    and Dijkstra's sum of them rounds by at most one ulp per edge.  So
-    a path whose float length is within the limit is truly shorter than
+    At the unbounded limit every source is searched on every vertex.  At
+    a finite limit, on a mesh of finite extent, sources are grouped by
+    the cell of a grid of side ``4 * limit`` that holds them.  A group's
+    ``within`` is the vertices in its sources' bounding box grown by
+    ``r``, gathered from the group's cell and its 26 neighbours.  A
+    shortest path is simple, so it has fewer than n edges; each edge's
+    float length is its true length to a few ulps, and Dijkstra's sum of
+    them rounds by at most one ulp per edge.  So a path whose float
+    length is within the limit is truly shorter than
     ``r = limit * (1 + (n + 8) eps)``, and every vertex on it lies within
     that Euclidean distance of its source.  The box test computes
     ``lo - x`` and ``x - hi`` against its corners, which round
     monotonically, so it keeps such a vertex.  It is at
     most about a quarter cell from its source along each axis, and with
     at most 2**20 cells per axis the cell indices are off by far less
-    than a cell, so the neighbouring cells hold it.  Groups are split so
-    that no block exceeds ``_BLOCK_ENTRIES`` entries.
+    than a cell, so the neighbouring cells hold it.  Each group is cut
+    into runs of consecutive sources, so that no block exceeds
+    ``_BLOCK_ENTRIES`` entries unless it is one row; blocks are numbered
+    in group order, groups in cell order.
     """
-    verts = mesh.vertices
-    low = verts.min(axis=0)
-    side = max(4.0 * limit, float((verts.max(axis=0) - low).max()) / 2**20)
-    # cells counted from 1, so that a neighbour's index is never negative
-    cell = np.floor((verts - low) / side).astype(np.int64) + 1
-    dims = cell.max(axis=0) + 2
-    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
-    by_cell = np.argsort(key, kind="stable")
-    sorted_key = key[by_cell]
-    # a z-run of three cells for each of the 9 (x, y) neighbour columns
-    offsets = np.add.outer(np.arange(-1, 2) * dims[1], np.arange(-1, 2)).ravel() * dims[2]
+    if limit == np.inf:
+        groups = [(np.arange(sources.size), np.arange(mesh.n_vertices))]
+    else:
+        verts = mesh.vertices
+        low = verts.min(axis=0)
+        side = max(4.0 * limit, float((verts.max(axis=0) - low).max()) / 2**20)
+        # cells counted from 1, so that a neighbour's index is never negative
+        cell = np.floor((verts - low) / side).astype(np.int64) + 1
+        dims = cell.max(axis=0) + 2
+        key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+        by_cell = np.argsort(key, kind="stable")
+        sorted_key = key[by_cell]
+        # a z-run of three cells for each of the 9 (x, y) neighbour columns
+        offsets = np.add.outer(np.arange(-1, 2) * dims[1], np.arange(-1, 2)).ravel() * dims[2]
 
-    src_key = key[sources]
-    grouped = np.argsort(src_key, kind="stable")
-    cells, first = np.unique(src_key[grouped], return_index=True)
-    runs = cells[:, None] + offsets
-    starts = np.searchsorted(sorted_key, runs - 1, side="left")
-    ends = np.searchsorted(sorted_key, runs + 1, side="right")
-    r = limit * (1.0 + (mesh.n_vertices + 8) * np.finfo(float).eps)
-    axes = np.ascontiguousarray(verts.T)
-    blocks = []
-    for members, lo, hi in zip(np.split(grouped, first[1:]), starts, ends):
-        members = np.sort(members)
-        cand = np.concatenate([by_cell[a:b] for a, b in zip(lo, hi)])
-        near = np.ones(cand.size, dtype=bool)
-        for coord in axes:
-            box, x = coord[sources[members]], coord[cand]
-            near &= (box.min() - x <= r) & (x - box.max() <= r)
-        within = np.sort(cand[near])
-        blocks += _split(members, within, within.size)
-    return blocks
-
-
-def _split(members, within, width):
-    # consecutive runs of `members`, as blocks (run, within) of at most
-    # _BLOCK_ENTRIES distances, `width` per row, or of one row
-    rows = max(1, _BLOCK_ENTRIES // width)
-    return [(members[i:i + rows], within) for i in range(0, members.size, rows)]
+        src_key = key[sources]
+        grouped = np.argsort(src_key, kind="stable")
+        cells, first = np.unique(src_key[grouped], return_index=True)
+        runs = cells[:, None] + offsets
+        starts = np.searchsorted(sorted_key, runs - 1, side="left")
+        ends = np.searchsorted(sorted_key, runs + 1, side="right")
+        r = limit * (1.0 + (mesh.n_vertices + 8) * np.finfo(float).eps)
+        axes = np.ascontiguousarray(verts.T)
+        groups = []
+        for members, lo, hi in zip(np.split(grouped, first[1:]), starts, ends):
+            members = np.sort(members)
+            cand = np.concatenate([by_cell[a:b] for a, b in zip(lo, hi)])
+            near = np.ones(cand.size, dtype=bool)
+            for coord in axes:
+                box, x = coord[sources[members]], coord[cand]
+                near &= (box.min() - x <= r) & (x - box.max() <= r)
+            groups.append((members, np.sort(cand[near])))
+    block_of = np.empty(sources.size, dtype=np.int64)
+    withins = []
+    for members, within in groups:
+        run = np.arange(members.size) // max(1, _BLOCK_ENTRIES // within.size)
+        block_of[members] = len(withins) + run
+        withins += [within] * (run[-1] + 1)
+    return block_of, withins
 
 
 def checked_ground_truth(gt_src, gt_tgt, n_src, n_tgt):

@@ -28,8 +28,10 @@ def icosphere(subdivisions=2):
     """Subdivided icosahedron projected to the unit sphere.
 
     Vertex count is ``10 * 4**subdivisions + 2``; ordering is
-    deterministic.
+    deterministic.  A negative subdivision count is a ValueError.
     """
+    if subdivisions < 0:
+        raise ValueError("subdivision count must be at least 0 (got %d)" % subdivisions)
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
     faces = _ICO_FACES.copy()
     for _ in range(subdivisions):
@@ -57,7 +59,10 @@ def _subdivide(verts, faces):
 
 
 def jittered_copy(mesh, amount, seed=0):
-    """Copy with Gaussian vertex noise of ``amount * bbox_diagonal``."""
+    """Copy with Gaussian vertex noise of ``amount * bbox_diagonal``;
+    ValueError unless ``amount`` is finite and at least 0."""
+    if not 0 <= amount < np.inf:
+        raise ValueError("jitter must be finite and at least 0 (got %g)" % amount)
     if amount == 0:
         return TriMesh(mesh.vertices.copy(), mesh.faces.copy())
     rng = np.random.default_rng(seed)

@@ -134,6 +134,81 @@ def dijkstra_slow(mesh, source):
     return dist
 
 
+def lookup_calls_reference(mesh, from_idx, to_idx, block_entries=500_000,
+                           limit_edges=(4.0, 8.0)):
+    """The ``(sources, limit, within)`` of every Dijkstra call of a
+    distance lookup, in call order, as the lookup made them while each
+    pass labelled its blocks in a loop: the same grid, 27-cell gather,
+    box test, runs of at most ``block_entries`` distances and pair
+    bucketing.  That lookup searched the unbounded pass on the whole
+    mesh, given here as ``within`` of every vertex.  A pair goes on to
+    the next pass when its unbounded distance is beyond the limit."""
+    from smoothmatch.mesh import geodesic_distances
+
+    def split(members, within, width):
+        rows = max(1, block_entries // width)
+        return [(members[i:i + rows], within) for i in range(0, members.size, rows)]
+
+    def local_blocks(sources, limit):
+        verts = mesh.vertices
+        low = verts.min(axis=0)
+        side = max(4.0 * limit, float((verts.max(axis=0) - low).max()) / 2**20)
+        cell = np.floor((verts - low) / side).astype(np.int64) + 1
+        dims = cell.max(axis=0) + 2
+        key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+        by_cell = np.argsort(key, kind="stable")
+        sorted_key = key[by_cell]
+        offsets = np.add.outer(np.arange(-1, 2) * dims[1], np.arange(-1, 2)).ravel() * dims[2]
+        src_key = key[sources]
+        grouped = np.argsort(src_key, kind="stable")
+        cells, first = np.unique(src_key[grouped], return_index=True)
+        runs = cells[:, None] + offsets
+        starts = np.searchsorted(sorted_key, runs - 1, side="left")
+        ends = np.searchsorted(sorted_key, runs + 1, side="right")
+        r = limit * (1.0 + (mesh.n_vertices + 8) * np.finfo(float).eps)
+        axes = np.ascontiguousarray(verts.T)
+        blocks = []
+        for members, lo, hi in zip(np.split(grouped, first[1:]), starts, ends):
+            members = np.sort(members)
+            cand = np.concatenate([by_cell[a:b] for a, b in zip(lo, hi)])
+            near = np.ones(cand.size, dtype=bool)
+            for coord in axes:
+                box, x = coord[sources[members]], coord[cand]
+                near &= (box.min() - x <= r) & (x - box.max() <= r)
+            within = np.sort(cand[near])
+            blocks += split(members, within, within.size)
+        return blocks
+
+    from_idx = np.asarray(from_idx, dtype=np.int64)
+    to_idx = np.asarray(to_idx, dtype=np.int64)
+    n = mesh.n_vertices
+    uniq, inverse = np.unique(from_idx, return_inverse=True)
+    dist = geodesic_distances(mesh, uniq)[inverse, to_idx]
+    todo = np.flatnonzero(from_idx != to_idx)
+    edge = mesh.edge_lengths.mean()
+    with np.errstate(over="ignore"):
+        bounded = edge > 0 and np.isfinite(np.ptp(mesh.vertices, axis=0)).all()
+    calls = []
+    for limit in [e * edge for e in limit_edges if bounded] + [np.inf]:
+        if not todo.size:
+            break
+        uniq, inverse = np.unique(from_idx[todo], return_inverse=True)
+        blocks = (local_blocks(uniq, limit) if limit < np.inf
+                  else split(np.arange(uniq.size), np.arange(n), n))
+        label = np.empty(uniq.size, dtype=np.int64)
+        for b, (members, _) in enumerate(blocks):
+            label[members] = b
+        pair_label = label[inverse]
+        order = np.argsort(pair_label, kind="stable")
+        bounds = np.searchsorted(pair_label[order], np.arange(len(blocks) + 1))
+        for b, (members, within) in enumerate(blocks):
+            # every source has a pair, so every block made one call
+            assert bounds[b] < bounds[b + 1]
+            calls.append((uniq[members], limit, within))
+        todo = todo[dist[todo] > limit]
+    return calls
+
+
 def c_step_slow(state, basis_1, basis_2, weights, k):
     """Dense stacked least-squares solution of the C-step."""
 

@@ -341,6 +341,24 @@ def test_synth_unknown_fixture(tmp_path, capsys):
     assert "unknown fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--landmarks", "0"], "--landmarks"),
+    (["--landmarks", "500"], "--landmarks"),
+    (["--subdiv", "-3"], "--subdiv"),
+    (["--jitter", "-1"], "--jitter"),
+    (["--jitter", "nan"], "--jitter"),
+    (["--seed", "-1"], "--seed"),
+], ids=["landmarks_zero", "landmarks_over", "subdiv_negative", "jitter_negative", "jitter_nan",
+        "seed_negative"])
+def test_synth_bad_arguments_write_nothing(tmp_path, capsys, flags, flag):
+    # every flag is checked before --out is created
+    out = tmp_path / "fix"
+    assert main(["synth", "icosphere", "--subdiv", "2", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + flag)
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # refine / eval commands
 # ----------------------------------------------------------------------
@@ -797,6 +815,23 @@ def test_batch_malformed_line_fails_up_front(fixture_dir, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: %s:3: batch lines must be: src tgt landmarks outdir\n" % batch
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_batch_jobs_below_one_is_an_input_error(fixture_dir, tmp_path, capsys, jobs):
+    # rejected before any file is read, and no worker process starts
+    batch = tmp_path / "pairs.txt"
+    out = tmp_path / "run"
+    batch.write_text("%s %s %s %s\n" % (
+        fixture_dir / "src.off", fixture_dir / "tgt.off", fixture_dir / "lm5.txt", out))
+    with mock.patch.object(cli, "ProcessPoolExecutor", side_effect=AssertionError), \
+            mock.patch.object(cli, "_require", side_effect=AssertionError):
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", "--pairs", str(batch), "--jobs", str(jobs)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: --jobs must be at least 1 (got %d)\n" % jobs)
     assert not out.exists()
 
 

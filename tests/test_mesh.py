@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from oracles import cot_weights_slow, dijkstra_slow
 from conftest import hull_mesh, two_spheres
@@ -353,6 +355,26 @@ def test_geodesic_within_keeps_values_within_limit(rng, edges):
     local = geodesic_distances(mesh, sources, limit=limit, within=within)
     expected = np.where(full <= limit, full, np.inf)
     assert np.array_equal(local.view(np.int64), expected.view(np.int64))
+
+
+def test_geodesic_within_every_vertex_searches_the_whole_graph(rng):
+    # a slice over every vertex would copy the graph unchanged, so the
+    # graph itself is searched, with the rows of a search without `within`
+    mesh = hull_mesh(rng, 200)
+    sources = [150, 0, 17]
+    limit = 4.0 * mesh.edge_lengths.mean()
+    searched = []
+    dijkstra = csgraph.dijkstra
+
+    def spy(graph, **kwargs):
+        searched.append(graph)
+        return dijkstra(graph, **kwargs)
+
+    with mock.patch.object(csgraph, "dijkstra", spy):
+        local = geodesic_distances(mesh, sources, limit=limit, within=np.arange(mesh.n_vertices))
+    assert len(searched) == 1 and searched[0] is mesh.edge_graph
+    full = geodesic_distances(mesh, sources, limit=limit)
+    assert np.array_equal(local.view(np.int64), full.view(np.int64))
 
 
 @pytest.mark.parametrize("within, message", [

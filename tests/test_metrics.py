@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from conftest import hull_mesh, random_map, two_spheres
-from oracles import conformal_slow
+from oracles import conformal_slow, lookup_calls_reference
 
 from smoothmatch import metrics
 from smoothmatch.energies import dirichlet_energy
@@ -265,10 +265,7 @@ def test_lookup_ends_on_overflowing_extent(rng):
     # two copies at x = +-1e308: every edge is finite, but the bounding
     # box's extent overflows, so no grid is built and only the unbounded
     # pass runs, without a warning
-    sphere = icosphere(2)
-    n = sphere.n_vertices
-    mesh = TriMesh(np.vstack([sphere.vertices + [1e308, 0, 0], sphere.vertices - [1e308, 0, 0]]),
-                   np.vstack([sphere.faces, sphere.faces + n]))
+    mesh = _far_copies()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         calls = assert_lookup_exact(mesh, rng.integers(0, mesh.n_vertices, 200),
@@ -283,6 +280,76 @@ def test_lookup_one_row_chunks(rng):
     with mock.patch.object(metrics, "_BLOCK_ENTRIES", 1):
         calls = assert_lookup_exact(mesh, from_idx, to_idx)
     assert {len(sources) for sources, _, _ in calls} == {1}
+
+
+def _displaced_pairs(mesh, edges, count=None):
+    """Pairs from ``count`` random vertices of ``mesh`` (every vertex by
+    default) to the vertex nearest to each moved by ``edges`` mean edge
+    lengths."""
+    rng = np.random.default_rng(5)
+    from_idx = (np.arange(mesh.n_vertices) if count is None
+                else rng.choice(mesh.n_vertices, count, replace=False))
+    step = rng.normal(size=(from_idx.size, 3))
+    step *= edges * mesh.edge_lengths.mean() / np.linalg.norm(step, axis=1, keepdims=True)
+    return mesh, from_idx, cKDTree(mesh.vertices).query(mesh.vertices[from_idx] + step)[1]
+
+
+def _hull(n):
+    return hull_mesh(np.random.default_rng(n), n)
+
+
+def _antipodes():
+    sphere = icosphere(3)
+    return sphere, np.arange(sphere.n_vertices), np.argmin(sphere.vertices @ sphere.vertices.T, axis=1)
+
+
+def _random_pairs(mesh, seed=3, count=300):
+    rng = np.random.default_rng(seed)
+    return mesh, rng.integers(0, mesh.n_vertices, count), rng.integers(0, mesh.n_vertices, count)
+
+
+def _far_copies():
+    """Two icosphere(2) copies at x = +-1e308."""
+    sphere = icosphere(2)
+    return TriMesh(np.vstack([sphere.vertices + [1e308, 0, 0], sphere.vertices - [1e308, 0, 0]]),
+                   np.vstack([sphere.faces, sphere.faces + sphere.n_vertices]))
+
+
+@pytest.mark.parametrize("case, block_entries", [
+    pytest.param(lambda: _displaced_pairs(_hull(300), 2.0), 500_000, id="hull300-2edges"),
+    pytest.param(lambda: _displaced_pairs(_hull(300), 6.0), 500_000, id="hull300-6edges"),
+    pytest.param(lambda: _displaced_pairs(_hull(340), 2.0), 500_000, id="hull340-2edges"),
+    pytest.param(lambda: _displaced_pairs(_hull(340), 6.0), 500_000, id="hull340-6edges"),
+    pytest.param(lambda: _displaced_pairs(_hull(340), 6.0), 2_000, id="hull340-6edges-runs"),
+    pytest.param(lambda: _displaced_pairs(icosphere(4), 3.0, 500), 500_000,
+                 id="icosphere4-3edges"),
+    pytest.param(_antipodes, 500_000, id="antipodes"),
+    pytest.param(lambda: _random_pairs(two_spheres()), 500_000, id="two_components"),
+    pytest.param(lambda: _random_pairs(TriMesh(np.zeros((162, 3)), icosphere(2).faces)),
+                 500_000, id="zero_lengths"),
+    pytest.param(lambda: _random_pairs(_far_copies()), 500_000, id="overflowing_extent"),
+])
+def test_lookup_calls_match_reference(case, block_entries):
+    # the lookup makes the Dijkstra calls of the frozen reference: the
+    # same sources, limits and subgraphs, in the same order; a search on
+    # the whole mesh counts as one within every vertex
+    mesh, from_idx, to_idx = case()
+    calls = []
+
+    def spy(mesh, sources, limit=np.inf, within=None):
+        calls.append((np.asarray(sources), limit,
+                      np.arange(mesh.n_vertices) if within is None else np.asarray(within)))
+        return geodesic_distances(mesh, sources, limit=limit, within=within)
+
+    with mock.patch.object(metrics, "geodesic_distances", spy), \
+            mock.patch.object(metrics, "_BLOCK_ENTRIES", block_entries):
+        metrics._distance_lookup(mesh, from_idx, to_idx)
+    expected = lookup_calls_reference(mesh, from_idx, to_idx, block_entries)
+    assert len(calls) == len(expected)
+    for (sources, limit, within), (ref_sources, ref_limit, ref_within) in zip(calls, expected):
+        assert np.array_equal(sources, ref_sources)
+        assert limit == ref_limit
+        assert np.array_equal(within, ref_within)
 
 
 # ----------------------------------------------------------------------
