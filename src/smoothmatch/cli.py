@@ -5,9 +5,9 @@ Exit codes: 0 on success, 1 on solver failure, 2 on input errors.
 
 import argparse
 import dataclasses
-import functools
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
@@ -120,7 +120,8 @@ def _exit_code(command, args):
         # LinAlgError subclasses ValueError but is a failed solve, not bad input
         print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # OSError: a missing input, or an output path that cannot be written
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 
@@ -196,6 +197,9 @@ def _cmd_refine(args):
     gt_src = gt_tgt = None
     if args.gt:
         gt_src, gt_tgt = _read_ground_truth(args.gt, mesh_1.n_vertices, mesh_2.n_vertices)
+    # --out is created only once the maps exist
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError("--out: %s exists and is not a directory" % args.out)
 
     k_mesh = min(mesh_1.n_vertices, mesh_2.n_vertices) - 2
     if k_mesh < 2:
@@ -262,18 +266,27 @@ def _run_batch(args):
             sub.init_map = None
             sub.pairs = None
             jobs.append(sub)
-    run = functools.partial(_exit_code, _cmd_refine)
     parallel = args.jobs > 1 and len(jobs) > 1
     worst = EXIT_OK
     with ProcessPoolExecutor(args.jobs) if parallel else nullcontext() as pool:
         # both maps yield in batch order as the pairs finish
-        codes = pool.map(run, jobs) if parallel else map(run, jobs)
+        codes = pool.map(_refine_pair, jobs) if parallel else map(_refine_pair, jobs)
         for i, (sub, code) in enumerate(zip(jobs, codes), start=1):
             print("pair %d/%d %s %s -> %s: %s" % (
                 i, len(jobs), sub.src, sub.tgt, sub.out,
                 "ok" if code == EXIT_OK else "exit %d" % code), flush=True)
             worst = max(worst, code)
     return worst
+
+
+def _refine_pair(sub):
+    """One batch pair's exit code; an unexpected error fails only this
+    pair, as exit 1 with its traceback on stderr."""
+    try:
+        return _exit_code(_cmd_refine, sub)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_SOLVER
 
 
 def _cmd_eval(args):
@@ -286,7 +299,7 @@ def _cmd_eval(args):
 
     report = compute_report(pi_12, pi_21, mesh_1, mesh_2, gt_src, gt_tgt,
                             with_conformal=args.conformal)
-    csv = sm_io.metrics_csv(report, with_conformal=args.conformal)
+    csv = sm_io.metrics_csv(report)
     sys.stdout.write(csv)
     if args.out:
         with open(args.out, "w") as fh:

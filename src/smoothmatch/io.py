@@ -5,7 +5,7 @@
   row-major, whitespace separated.
 * Index pairs (landmarks, sparse ground truth): ``src_idx tgt_idx`` per
   line; a ground-truth file may alternatively be a full pointwise map.
-* Metrics: one-line CSV with a fixed header.
+* Metrics: one-line CSV under a header of the report's columns.
 
 Every reader parses its rows with one ``np.loadtxt`` pass over the open
 file (``_table``) and names a row that does not parse, or that holds an
@@ -156,12 +156,10 @@ def read_ground_truth(path):
     raise ValueError("%s: expected one or two columns" % path)
 
 
-METRICS_COLUMNS = ("accuracy", "bijectivity", "smoothness", "coverage")
-
-
-def metrics_csv(report, with_conformal=False):
-    """Header and value line for a metrics report."""
-    cols = METRICS_COLUMNS + (("conformal",) if with_conformal else ())
+def metrics_csv(report):
+    """Header and value line for a metrics report: ``report.COLUMNS``,
+    then ``conformal`` when the report holds one."""
+    cols = report.COLUMNS + (("conformal",) if report.conformal is not None else ())
     vals = []
     for c in cols:
         v = getattr(report, c)

@@ -39,16 +39,14 @@ class MetricsReport:
     conformal: float | None = None
     collapsed_faces: int | None = None
 
+    # the columns of every rendering; conformal follows when it is set
+    COLUMNS = ("accuracy", "bijectivity", "smoothness", "coverage")
+
     def as_text(self):
         def fmt(v):
             return "n/a" if v is None else "%.6g" % v
 
-        lines = [
-            "accuracy    %s" % fmt(self.accuracy),
-            "bijectivity %s" % fmt(self.bijectivity),
-            "smoothness  %s" % fmt(self.smoothness),
-            "coverage    %s" % fmt(self.coverage),
-        ]
+        lines = ["%-12s%s" % (c, fmt(getattr(self, c))) for c in self.COLUMNS]
         if self.conformal is not None:
             lines.append("conformal   %s (collapsed faces: %d)"
                          % (fmt(self.conformal), self.collapsed_faces or 0))

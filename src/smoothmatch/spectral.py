@@ -29,6 +29,11 @@ _DENSE_EIGEN_LIMIT = 400
 # mask is built only for each re-scored row.  Smaller blocks were slower
 # on 2 500-5 000-vertex pairs.
 _CHUNK_PAIRS = 500_000
+# a block has at least this many query rows: thinner ones starve the
+# GEMM and the per-block passes (a 40 962-vertex refine took twice as
+# long at 12 rows).  The floor binds only above 7 812 data rows; at
+# 40 962 it allows 64 rows of float32 scores, 10.5 MB.
+_MIN_BLOCK_ROWS = 64
 
 
 class SpectralBasis:
@@ -240,7 +245,7 @@ def nearest_rows(queries, data):
     # reproduced, ties included.
     n, d = data.shape
     f32 = np.finfo(np.float32)
-    chunk_rows = max(1, _CHUNK_PAIRS // n)
+    chunk_rows = max(_MIN_BLOCK_ROWS, _CHUNK_PAIRS // n)
     out = np.empty(queries.shape[0], dtype=np.int64)
     with np.errstate(invalid="ignore", over="ignore"):
         sq_data = np.einsum("ij,ij->i", data, data)

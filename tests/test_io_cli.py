@@ -294,8 +294,25 @@ def test_metrics_csv_format():
     assert lines[1].split(",")[1] == "n/a"
 
     rep.conformal = 1.25
-    csv = sm_io.metrics_csv(rep, with_conformal=True)
+    csv = sm_io.metrics_csv(rep)
     assert csv.split("\n")[0] == "accuracy,bijectivity,smoothness,coverage,conformal"
+
+
+@pytest.mark.parametrize("extra, text_tail, header_tail, values_tail", [
+    ({}, "", "", ""),
+    ({"conformal": 1.25, "collapsed_faces": 3},
+     "\nconformal   1.25 (collapsed faces: 3)", ",conformal", ",1.250000"),
+], ids=["four_columns", "conformal"])
+def test_report_renderings_golden_bytes(extra, text_tail, header_tail, values_tail):
+    from smoothmatch.metrics import MetricsReport
+
+    rep = MetricsReport(accuracy=1.5, bijectivity=None, smoothness=0.25, coverage=80.0,
+                        **extra)
+    assert rep.as_text() == ("accuracy    1.5\nbijectivity n/a\nsmoothness  0.25\n"
+                             "coverage    80" + text_tail)
+    assert sm_io.metrics_csv(rep) == (
+        "accuracy,bijectivity,smoothness,coverage" + header_tail + "\n"
+        "1.500000,n/a,0.250000,80.000000" + values_tail + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +374,15 @@ def test_synth_bad_arguments_write_nothing(tmp_path, capsys, flags, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: " + flag)
     assert not out.exists()
+
+
+def test_synth_out_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "notadir"
+    out.write_text("keep\n")
+    assert main(["synth", "icosphere", "--subdiv", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == "keep\n"
 
 
 # ----------------------------------------------------------------------
@@ -603,6 +629,36 @@ def test_refine_eigensolver_failure_is_solver_failure(fixture_dir, tmp_path, cap
     assert not out.exists()
 
 
+def test_refine_out_is_a_file_fails_before_the_bases(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "notadir"
+    out.write_text("keep\n")
+    with mock.patch.object(cli, "compute_basis") as basis:
+        code = main([
+            "refine", "--src", str(fixture_dir / "src.off"),
+            "--tgt", str(fixture_dir / "tgt.off"),
+            "--landmarks", str(fixture_dir / "lm5.txt"), "--out", str(out),
+        ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --out: %s exists and is not a directory\n" % out
+    basis.assert_not_called()
+    assert out.read_text() == "keep\n"
+
+
+def test_eval_out_is_a_directory_exits_2(fixture_dir, tmp_path, capsys):
+    n = load_mesh(fixture_dir / "src.off").n_vertices
+    map_path = tmp_path / "ident.txt"
+    map_path.write_text("\n".join(str(i) for i in range(n)) + "\n")
+    out = tmp_path / "report"
+    out.mkdir()
+    code = main(["eval", "--src", str(fixture_dir / "src.off"),
+                 "--tgt", str(fixture_dir / "tgt.off"),
+                 "--map12", str(map_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_singular_solve_is_solver_failure(capsys):
     # LinAlgError subclasses ValueError yet is a failed solve, not bad input
     code = _exit_code(lambda args: np.linalg.solve(np.zeros((2, 2)), np.ones(2)), None)
@@ -799,6 +855,62 @@ def test_batch_failed_pair_does_not_stop_the_rest(fixture_dir, tmp_path, capsys,
     assert len(status) == 2
     assert status[0].startswith("pair 1/2 ") and status[0].endswith(": exit 2")
     assert status[1].startswith("pair 2/2 ") and status[1].endswith(": ok")
+
+
+_REFINE_OUTPUTS = ("map_12.txt", "map_21.txt", "energy_trace.csv", "energy_report.txt",
+                   "fmap_12.txt", "fmap_21.txt")
+
+
+def _two_pair_batch(fixture_dir, tmp_path, first_out, second_out):
+    batch = tmp_path / "pairs.txt"
+    batch.write_text("".join("%s %s %s %s\n" % (
+        fixture_dir / "src.off", fixture_dir / "tgt.off", fixture_dir / "lm5.txt", out)
+        for out in (first_out, second_out)))
+    return batch
+
+
+def _batch_status(out):
+    return [line for line in out.splitlines() if line.startswith("pair ")]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_out_is_a_file_fails_only_its_pair(fixture_dir, tmp_path, capsys, jobs):
+    notadir, good = tmp_path / "notadir", tmp_path / "good"
+    notadir.write_text("keep\n")
+    batch = _two_pair_batch(fixture_dir, tmp_path, notadir, good)
+    code = main(["refine", "--pairs", str(batch), "--jobs", jobs,
+                 "--k-init", "5", "--k-final", "10", "--iters", "2"])
+    status = _batch_status(capsys.readouterr().out)
+    assert code == 2
+    assert len(status) == 2
+    assert status[0].startswith("pair 1/2 ") and status[0].endswith(": exit 2")
+    assert status[1].startswith("pair 2/2 ") and status[1].endswith(": ok")
+    assert notadir.read_text() == "keep\n"
+    for name in _REFINE_OUTPUTS:
+        assert (good / name).exists()
+
+
+def test_batch_unexpected_error_fails_only_its_pair(fixture_dir, tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    batch = _two_pair_batch(fixture_dir, tmp_path, first, second)
+    real = cli._cmd_refine
+
+    def first_raises(sub):
+        if sub.out == str(first):
+            raise KeyError("planted")
+        return real(sub)
+
+    with mock.patch.object(cli, "_cmd_refine", side_effect=first_raises):
+        code = main(["refine", "--pairs", str(batch),
+                     "--k-init", "5", "--k-final", "10", "--iters", "2"])
+    captured = capsys.readouterr()
+    status = _batch_status(captured.out)
+    assert code == 1
+    assert status[0].startswith("pair 1/2 ") and status[0].endswith(": exit 1")
+    assert status[1].startswith("pair 2/2 ") and status[1].endswith(": ok")
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.rstrip().endswith("KeyError: 'planted'")
+    assert not first.exists() and (second / "map_12.txt").exists()
 
 
 def test_batch_malformed_line_fails_up_front(fixture_dir, tmp_path, capsys):

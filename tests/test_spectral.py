@@ -253,6 +253,11 @@ def test_nearest_permutation_covariant(rng):
     assert np.array_equal(perm[permuted], base)
 
 
+def _few_row_blocks(chunk_pairs):
+    # the row floor lifted, so that blocks of one to a few rows are taken
+    return mock.patch.multiple(spectral, _CHUNK_PAIRS=chunk_pairs, _MIN_BLOCK_ROWS=1)
+
+
 @st.composite
 def _tie_heavy_search(draw):
     """Queries, data and a query block size; small-integer coordinates,
@@ -276,7 +281,7 @@ def _tie_heavy_search(draw):
 def test_nearest_equals_cdist_argmin(case):
     queries, data, block_rows = case
     # a chunk size of a few query rows puts tied queries in different blocks
-    with mock.patch.object(spectral, "_CHUNK_PAIRS", block_rows * data.shape[0]):
+    with _few_row_blocks(block_rows * data.shape[0]):
         out = nearest_rows(queries, data)
     assert np.array_equal(out, cdist(queries, data).argmin(axis=1))
     for q, j in zip(queries, out):
@@ -285,11 +290,26 @@ def test_nearest_equals_cdist_argmin(case):
             assert j == equal[0]
 
 
+def test_nearest_row_floor_binds_on_small_blocks(rng):
+    # a chunk of one score would give one-row blocks; the floor makes
+    # them 64 rows, and small-integer data with duplicate rows and
+    # queries on data rows and their midpoints keeps ties in every block
+    data = rng.integers(-3, 4, size=(40, 3)).astype(float)
+    data = np.vstack([data, data[:10]])
+    queries = np.vstack([data[rng.integers(0, 50, size=100)], _midpoints(rng, data, 100)])
+    spy = mock.Mock(wraps=spectral._nearest_in_block)
+    with mock.patch.object(spectral, "_CHUNK_PAIRS", 1), \
+            mock.patch.object(spectral, "_nearest_in_block", spy):
+        out = nearest_rows(queries, data)
+    assert [len(call.args[1]) for call in spy.call_args_list] == [64, 64, 64, 8]
+    assert np.array_equal(out, cdist(queries, data).argmin(axis=1))
+
+
 def _assert_cdist_argmin(queries, data, block_rows=3):
     # whole-call and few-row blocks both give cdist's argmin
     expected = cdist(queries, data).argmin(axis=1)
     assert np.array_equal(nearest_rows(queries, data), expected)
-    with mock.patch.object(spectral, "_CHUNK_PAIRS", block_rows * data.shape[0]):
+    with _few_row_blocks(block_rows * data.shape[0]):
         assert np.array_equal(nearest_rows(queries, data), expected)
 
 
