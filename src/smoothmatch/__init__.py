@@ -5,12 +5,7 @@ optimizing spectral bijectivity and a pluggable pointwise smoothness
 energy (Dirichlet by default) with a three-block coordinate solver.
 """
 
-from .energies import (
-    bijectivity_energy,
-    coupling_energy,
-    dirichlet_energy,
-    energy_breakdown,
-)
+from .energies import coupling_energy, dirichlet_energy, energy_breakdown
 from .mesh import (
     TriMesh,
     cotangent_matrix,
@@ -70,7 +65,6 @@ __all__ = [
     "Variant",
     "accuracy_metric",
     "arap_local_step",
-    "bijectivity_energy",
     "bijectivity_metric",
     "c_step",
     "compute_basis",

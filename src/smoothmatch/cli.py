@@ -132,6 +132,22 @@ def _require(path, what):
     return path
 
 
+def _check_out(path, makedirs):
+    """Fail before any work unless ``--out`` can be written.  ``refine``
+    creates a directory there (``makedirs``), so the nearest existing path
+    on it must be a directory; ``eval`` writes a file there, so it must not
+    be a directory and its parent must be an existing one."""
+    if os.path.exists(path) and os.path.isdir(path) != makedirs:
+        raise ValueError("--out: %s %s" % (
+            path, "exists and is not a directory" if makedirs else "is a directory"))
+    parent = os.path.dirname(path)
+    while makedirs and parent and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if parent and not os.path.isdir(parent):
+        raise ValueError("--out: %s is below %s, which %s" % (
+            path, parent, "is not a directory" if os.path.exists(parent) else "does not exist"))
+
+
 def _read_map(path, n_src, n_tgt):
     """The pointwise map in ``path`` from a mesh of ``n_src`` vertices to one of ``n_tgt``."""
     pi = sm_io.read_pointwise_map(_require(path, "map file"), n_tgt)
@@ -198,8 +214,7 @@ def _cmd_refine(args):
     if args.gt:
         gt_src, gt_tgt = _read_ground_truth(args.gt, mesh_1.n_vertices, mesh_2.n_vertices)
     # --out is created only once the maps exist
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ValueError("--out: %s exists and is not a directory" % args.out)
+    _check_out(args.out, makedirs=True)
 
     k_mesh = min(mesh_1.n_vertices, mesh_2.n_vertices) - 2
     if k_mesh < 2:
@@ -296,6 +311,8 @@ def _cmd_eval(args):
     gt_src = gt_tgt = None
     if args.gt:
         gt_src, gt_tgt = _read_ground_truth(args.gt, mesh_1.n_vertices, mesh_2.n_vertices)
+    if args.out:
+        _check_out(args.out, makedirs=False)
 
     report = compute_report(pi_12, pi_21, mesh_1, mesh_2, gt_src, gt_tgt,
                             with_conformal=args.conformal)

@@ -24,9 +24,10 @@ block comes from ``config.variant.energy``); ``gamma`` follows the
 solver's schedule, one value per iteration, and is passed explicitly.
 
 The terms that depend on the maps are stated once, in ``map_terms``;
-the report sums them, and ``pi_step_embedding`` stacks them into the
-Pi-step's embedding.  ``c_step_system`` states the C-step's normal
-equations.  The solver only solves the problems these two state.
+``energy_breakdown``, the one evaluator of the objective, sums them, and
+``pi_step_embedding`` stacks them into the Pi-step's embedding.
+``c_step_system`` states the C-step's normal equations.  The solver only
+solves the problems these two state.
 """
 
 from collections import namedtuple
@@ -79,13 +80,10 @@ def map_terms(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma):
     """The map-dependent terms of ``e_total`` for the map src -> tgt, whose
     pull-back is ``c_own`` (``c_other`` is the reverse map's), in the
     Pi-step's stacking order: spectral coupling (weight alpha), spatial
-    coupling (weight gamma * beta), bijectivity (weight 1).  Without the
-    bases or the target vertices (None), their terms are left out."""
-    spatial = [] if x_tgt is None else [Term("e_couple_spatial", gamma * config.beta, y, x_tgt)]
-    if phi_src is None:
-        return spatial
+    coupling (weight gamma * beta), bijectivity (weight 1)."""
     phi_src, phi_tgt = phi_src[:, :c_own.shape[0]], phi_tgt[:, :c_own.shape[1]]
-    return [Term("e_couple_spec", config.alpha, (phi_src, c_own), phi_tgt), *spatial,
+    return [Term("e_couple_spec", config.alpha, (phi_src, c_own), phi_tgt),
+            Term("e_couple_spatial", gamma * config.beta, y, x_tgt),
             Term("e_bij", 1.0, phi_src, (phi_tgt, c_other))]
 
 
@@ -145,66 +143,40 @@ def pi_step_embedding(c_own, c_other, y, phi_src, phi_tgt, x_tgt, config, gamma)
     return query, data
 
 
-def map_term_sums(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
-    """Raw sums over both maps of each of the ``map_terms``, by column; in
-    the bases' area norm, or the meshes' when the bases are None."""
-    sums = {}
-    for pi, c_own, c_other, y, b_src, b_tgt, m_src, m_tgt in (
-            (state.pi_12, state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_1, mesh_2),
-            (state.pi_21, state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_2, mesh_1)):
-        # the target rows are pulled back once, so each data operand is
-        # already data[pi] and (a, b) is a[pi] @ b; (a @ b)[pi] can differ
-        # from it in the last bit, which would move the trace
-        phi = (None, None) if b_src is None else (b_src.phi, pi.pull(b_tgt.phi))
-        x_tgt = None if m_tgt is None else pi.pull(m_tgt.vertices)
-        areas = m_src.vertex_areas if b_src is None else b_src.areas
-        for term in map_terms(c_own, c_other, y, *phi, x_tgt, config, gamma):
-            # a product on the left lets numpy subtract into its temporary
-            diff = (_value(term.data) - _value(term.query) if isinstance(term.data, tuple)
-                    else _value(term.query) - _value(term.data))
-            sums[term.column] = sums.get(term.column, 0.0) + a_norm_sq(diff, areas)
-    return sums
-
-
-def bijectivity_energy(state, basis_1, basis_2, config):
-    """Spectral bijectivity energy over both directions, at ``config.alpha``."""
-    sums = map_term_sums(state, None, None, basis_1, basis_2, config, 0.0)
-    return sums["e_bij"] + config.alpha * sums["e_couple_spec"]
-
-
-def _dirichlet_sum(state, mesh_1, mesh_2):
-    return dirichlet_energy(state.y_12, mesh_1.cot_matrix) + dirichlet_energy(
-        state.y_21, mesh_2.cot_matrix)
-
-
-def variant_smoothness(state, mesh_1, mesh_2, config, terms=None):
-    """Coupled smoothness block of ``config.variant`` at ``config.beta``.
-
-    ``terms`` may pass in the raw ``(e_dirichlet, e_couple_spatial)`` of
-    ``state`` when the caller has them.  Energies with auxiliary unknowns
-    (nicp, arap, shells) raise ValueError on a state whose Y-steps left
-    none.
-    """
-    e_d, e_couple = terms if terms is not None else (
-        _dirichlet_sum(state, mesh_1, mesh_2),
-        map_term_sums(state, mesh_1, mesh_2, None, None, config, 1.0)["e_couple_spatial"])
-    variant = config.variant
-    return variant.energy.regularizer(state, mesh_1, mesh_2, variant, e_d) + config.beta * e_couple
-
-
 def energy_breakdown(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
     """All energy terms as a flat dict (solver trace rows, CLI report).
 
-    ``gamma`` weights the smoothness block of ``config.variant``.  Raw
-    columns are unweighted; ``e_total`` applies the weights, so for the
+    The raw columns are the sums over both maps of each of the
+    ``map_terms``, in the bases' area norm, and ``e_dirichlet``, the
+    Dirichlet energy of both Y.  ``e_total`` applies the weights, with
+    ``gamma`` on the smoothness block of ``config.variant``; for the
     Dirichlet variant
 
         e_total = e_bij + alpha * e_couple_spec
-                  + gamma * (e_dirichlet + beta * e_couple_spatial).
+                  + gamma * (e_dirichlet + beta * e_couple_spatial),
+
+    i.e. the bijectivity block plus gamma times the smoothness block.
+    Energies with auxiliary unknowns (nicp, arap, shells) raise
+    ValueError on a state whose Y-steps left none.
     """
-    sums = map_term_sums(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma)
-    e_d = _dirichlet_sum(state, mesh_1, mesh_2)
-    e_sm = variant_smoothness(state, mesh_1, mesh_2, config, (e_d, sums["e_couple_spatial"]))
+    sums = {}
+    for pi, c_own, c_other, y, b_src, b_tgt, m_tgt in (
+            (state.pi_12, state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2),
+            (state.pi_21, state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_1)):
+        # the target rows are pulled back once, so each data operand is
+        # already data[pi] and (a, b) is a[pi] @ b; (a @ b)[pi] can differ
+        # from it in the last bit, which would move the trace
+        for term in map_terms(c_own, c_other, y, b_src.phi, pi.pull(b_tgt.phi),
+                              pi.pull(m_tgt.vertices), config, gamma):
+            # a product on the left lets numpy subtract into its temporary
+            diff = (_value(term.data) - _value(term.query) if isinstance(term.data, tuple)
+                    else _value(term.query) - _value(term.data))
+            sums[term.column] = sums.get(term.column, 0.0) + a_norm_sq(diff, b_src.areas)
+    e_d = dirichlet_energy(state.y_12, mesh_1.cot_matrix) + dirichlet_energy(
+        state.y_21, mesh_2.cot_matrix)
+    variant = config.variant
+    e_sm = (variant.energy.regularizer(state, mesh_1, mesh_2, variant, e_d)
+            + config.beta * sums["e_couple_spatial"])
     total = sums["e_bij"] + config.alpha * sums["e_couple_spec"] + gamma * e_sm
     return {"e_bij": sums["e_bij"], "e_couple_spec": sums["e_couple_spec"], "e_dirichlet": e_d,
             "e_couple_spatial": sums["e_couple_spatial"], "e_total": total}

@@ -119,13 +119,18 @@ class TriMesh:
     def normalized(self):
         """Copy translated to centroid origin and scaled to unit area.
 
-        A total area that is zero or not finite raises ``ValueError``.
+        A total area that is zero or not finite, or a centroid or scaled
+        coordinates that overflow, raise ``ValueError``.
         """
         area = self.area
         if not 0 < area < np.inf:
             raise ValueError("total area is %g; normalizing needs a positive, finite one" % area)
         scale = 1.0 / np.sqrt(area)
-        verts = (self.vertices - self.surface_centroid) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            verts = (self.vertices - self.surface_centroid) * scale
+        if not np.isfinite(verts).all():
+            raise ValueError("normalized coordinates are not finite (coordinates up to %g)"
+                             % np.abs(self.vertices).max())
         with warnings.catch_warnings():
             # this mesh has already warned about its isolated vertices
             warnings.simplefilter("ignore", UserWarning)
@@ -301,7 +306,7 @@ def load_mesh(path, normalize=True):
                          "zero-area faces)" % (p, flat[0]))
     try:
         return mesh.normalized() if normalize else mesh
-    except ValueError as exc:       # a total area that overflows to inf
+    except ValueError as exc:       # an area or coordinates that overflow
         raise ValueError("%s: %s" % (p, exc)) from None
 
 

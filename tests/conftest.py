@@ -4,6 +4,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.spatial import ConvexHull
 
 from smoothmatch.mesh import TriMesh
+from smoothmatch.solver import SolverState
 from smoothmatch.spectral import PointwiseMap, compute_basis
 from smoothmatch.synth import icosphere
 
@@ -48,6 +49,16 @@ def random_map(rng, mesh_src, mesh_tgt):
     return PointwiseMap(
         rng.integers(0, mesh_tgt.n_vertices, mesh_src.n_vertices), mesh_tgt.n_vertices
     )
+
+
+def make_random_state(rng, m1, m2, b1, b2, k):
+    """A state with random maps, random k x k functional maps and random Y."""
+    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
+    state.c_21 = rng.normal(size=(k, k))
+    state.c_12 = rng.normal(size=(k, k))
+    state.y_12 = rng.normal(size=(m1.n_vertices, 3))
+    state.y_21 = rng.normal(size=(m2.n_vertices, 3))
+    return state
 
 
 @pytest.fixture

@@ -249,6 +249,38 @@ def c_step_reference(pi_back, pi_fwd, basis_i, basis_j, alpha):
     return np.linalg.solve(lhs, rhs)
 
 
+def energy_breakdown_reference(state, mesh_1, mesh_2, basis_1, basis_2, config, gamma):
+    """``energy_breakdown`` as it was while ``map_terms`` took None for
+    the bases or the target vertices and ``variant_smoothness`` summed the
+    smoothness block: same operations in the same order.  The
+    regularizer is read from ``config.variant.energy``."""
+
+    def a_norm_sq(values, areas):
+        return float(np.einsum("i,ij,ij->", areas, values, values))
+
+    def dirichlet(coords, w):
+        return float(np.einsum("ij,ij->", coords, w @ coords))
+
+    sums = {}
+    for pi, c_own, c_other, y, b_src, b_tgt, m_tgt in (
+            (state.pi_12, state.c_21, state.c_12, state.y_12, basis_1, basis_2, mesh_2),
+            (state.pi_21, state.c_12, state.c_21, state.y_21, basis_2, basis_1, mesh_1)):
+        phi_src = b_src.phi[:, :c_own.shape[0]]
+        phi_tgt = pi.pull(b_tgt.phi)[:, :c_own.shape[1]]
+        x_tgt = pi.pull(m_tgt.vertices)
+        for column, diff in (("e_couple_spec", phi_src @ c_own - phi_tgt),
+                             ("e_couple_spatial", y - x_tgt),
+                             ("e_bij", phi_tgt @ c_other - phi_src)):
+            sums[column] = sums.get(column, 0.0) + a_norm_sq(diff, b_src.areas)
+    e_d = dirichlet(state.y_12, mesh_1.cot_matrix) + dirichlet(state.y_21, mesh_2.cot_matrix)
+    variant = config.variant
+    e_sm = (variant.energy.regularizer(state, mesh_1, mesh_2, variant, e_d)
+            + config.beta * sums["e_couple_spatial"])
+    total = sums["e_bij"] + config.alpha * sums["e_couple_spec"] + gamma * e_sm
+    return {"e_bij": sums["e_bij"], "e_couple_spec": sums["e_couple_spec"], "e_dirichlet": e_d,
+            "e_couple_spatial": sums["e_couple_spatial"], "e_total": total}
+
+
 def pi_step_exact_slow(c_own, c_other, y, basis_src, basis_tgt, mesh_tgt, weights, gamma):
     """Per-row exhaustive minimization of the full assignment objective."""
     k_src, k_tgt = c_own.shape

@@ -19,13 +19,7 @@ from oracles import (
 )
 from conftest import hull_mesh, random_map
 
-from smoothmatch.energies import (
-    bijectivity_energy,
-    coupling_energy,
-    dirichlet_energy,
-    energy_breakdown,
-    variant_smoothness,
-)
+from smoothmatch.energies import coupling_energy, dirichlet_energy, energy_breakdown
 from smoothmatch.mesh import TriMesh, cotangent_matrix, geodesic_distances, vertex_areas
 from smoothmatch.metrics import (
     accuracy_metric,
@@ -130,16 +124,17 @@ def test_energy_oracle_suite():
                 coupling_energy(state.c_21, state.pi_12, b1, b2),
                 coupling_slow(state.c_21, state.pi_12, b1, b2),
             )
+            parts = energy_breakdown(state, m1, m2, b1, b2, w, gamma)
             close(
-                bijectivity_energy(state, b1, b2, w),
+                parts["e_bij"] + w.alpha * parts["e_couple_spec"],
                 bijectivity_slow(state, b1, b2, w),
             )
             close(
-                variant_smoothness(state, m1, m2, w),
+                parts["e_dirichlet"] + w.beta * parts["e_couple_spatial"],
                 coupled_smoothness_slow(state, m1, m2, w),
             )
             close(
-                energy_breakdown(state, m1, m2, b1, b2, w, gamma)["e_total"],
+                parts["e_total"],
                 total_energy_slow(state, m1, m2, b1, b2, w, gamma),
             )
 

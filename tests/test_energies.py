@@ -6,35 +6,33 @@ from oracles import (
     coupled_smoothness_slow,
     coupling_slow,
     dirichlet_slow,
+    energy_breakdown_reference,
     total_energy_slow,
 )
-from conftest import hull_mesh, random_map
+from conftest import hull_mesh, make_random_state, random_map
 
-from smoothmatch.energies import (
-    bijectivity_energy,
-    coupling_energy,
-    dirichlet_energy,
-    energy_breakdown,
-    variant_smoothness,
-)
-from smoothmatch.solver import SolverConfig, SolverState
+from smoothmatch.energies import coupling_energy, dirichlet_energy, energy_breakdown
+from smoothmatch.solver import SolverConfig, SolverState, c_step, pi_step
 from smoothmatch.spectral import PointwiseMap, compute_basis, p2p_to_fmap
-
-
-def make_random_state(rng, m1, m2, b1, b2, k):
-    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
-    state.c_21 = rng.normal(size=(k, k))
-    state.c_12 = rng.normal(size=(k, k))
-    state.y_12 = rng.normal(size=(m1.n_vertices, 3))
-    state.y_21 = rng.normal(size=(m2.n_vertices, 3))
-    return state
+from smoothmatch.variants import VARIANT_KINDS, Variant, run_y_step
 
 
 def identity_state(mesh):
     n = mesh.n_vertices
     ident = PointwiseMap(np.arange(n), n)
     state = SolverState(ident, ident)
+    state.y_12 = state.y_21 = mesh.vertices
     return state
+
+
+# the two blocks of e_total, read from the breakdown's raw columns
+def bijectivity_block(parts, config):
+    return parts["e_bij"] + config.alpha * parts["e_couple_spec"]
+
+
+def smoothness_block(parts, config):
+    # the Dirichlet variant's smoothness block
+    return parts["e_dirichlet"] + config.beta * parts["e_couple_spatial"]
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +112,7 @@ def test_bijectivity_identity_fixture_zero(sphere2, sphere2_basis):
     state.c_12 = np.eye(12)
     state.c_21 = np.eye(12)
     w = SolverConfig()
-    assert bijectivity_energy(state, b, b, w) < 1e-10
+    assert bijectivity_block(energy_breakdown(state, sphere2, sphere2, b, b, w, 1.0), w) < 1e-10
 
 
 def test_bijectivity_zero_fmap_gives_two_k(rng):
@@ -125,7 +123,7 @@ def test_bijectivity_zero_fmap_gives_two_k(rng):
     state.c_12 = np.zeros((7, 7))
     state.c_21 = np.zeros((7, 7))
     w = SolverConfig(alpha=0.0)
-    got = bijectivity_energy(state, basis, basis, w)
+    got = bijectivity_block(energy_breakdown(state, mesh, mesh, basis, basis, w, 1.0), w)
     assert abs(got - 2 * 7) < 1e-8
     assert abs(got - bijectivity_slow(state, basis, basis, w)) < 1e-10 * got
 
@@ -135,7 +133,7 @@ def test_bijectivity_matches_dense(rng):
     b1, b2 = compute_basis(m1, 6), compute_basis(m2, 6)
     state = make_random_state(rng, m1, m2, b1, b2, 6)
     w = SolverConfig(alpha=0.37)
-    got = bijectivity_energy(state, b1, b2, w)
+    got = bijectivity_block(energy_breakdown(state, m1, m2, b1, b2, w, 1.0), w)
     want = bijectivity_slow(state, b1, b2, w)
     assert abs(got - want) < 1e-10 * max(1.0, want)
 
@@ -145,11 +143,12 @@ def test_bijectivity_matches_dense(rng):
 # ----------------------------------------------------------------------
 def test_coupled_smoothness_reduces_to_map_dirichlet(rng):
     m1, m2 = hull_mesh(rng, 20), hull_mesh(rng, 22)
-    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
+    b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
+    state = make_random_state(rng, m1, m2, b1, b2, 5)
     state.y_12 = state.pi_12.pull(m2.vertices)
     state.y_21 = state.pi_21.pull(m1.vertices)
     w = SolverConfig(beta=2.5)
-    got = variant_smoothness(state, m1, m2, w)
+    got = smoothness_block(energy_breakdown(state, m1, m2, b1, b2, w, 1.0), w)
     want = dirichlet_energy(state.y_12, m1.cot_matrix) + dirichlet_energy(
         state.y_21, m2.cot_matrix
     )
@@ -160,7 +159,8 @@ def test_coupled_smoothness_zero_y(rng):
     from smoothmatch.energies import a_norm_sq
 
     m1, m2 = hull_mesh(rng, 20), hull_mesh(rng, 22)
-    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
+    b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
+    state = make_random_state(rng, m1, m2, b1, b2, 5)
     state.y_12 = np.zeros((m1.n_vertices, 3))
     state.y_21 = np.zeros((m2.n_vertices, 3))
     w = SolverConfig(beta=3.0)
@@ -168,7 +168,7 @@ def test_coupled_smoothness_zero_y(rng):
         a_norm_sq(state.pi_12.pull(m2.vertices), m1.vertex_areas)
         + a_norm_sq(state.pi_21.pull(m1.vertices), m2.vertex_areas)
     )
-    got = variant_smoothness(state, m1, m2, w)
+    got = smoothness_block(energy_breakdown(state, m1, m2, b1, b2, w, 1.0), w)
     assert abs(got - want) < 1e-10 * max(1.0, want)
 
 
@@ -177,7 +177,7 @@ def test_coupled_smoothness_matches_dense(rng):
     b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
     state = make_random_state(rng, m1, m2, b1, b2, 5)
     w = SolverConfig(beta=1.7)
-    got = variant_smoothness(state, m1, m2, w)
+    got = smoothness_block(energy_breakdown(state, m1, m2, b1, b2, w, 1.0), w)
     want = coupled_smoothness_slow(state, m1, m2, w)
     assert abs(got - want) < 1e-10 * max(1.0, want)
 
@@ -203,7 +203,7 @@ def test_total_gamma_zero_is_bijectivity(rng):
     state = make_random_state(rng, m1, m2, b1, b2, 5)
     w = SolverConfig(beta=1.0)
     assert energy_breakdown(state, m1, m2, b1, b2, w, 0.0)["e_total"] == pytest.approx(
-        bijectivity_energy(state, b1, b2, w), rel=1e-12
+        bijectivity_block(energy_breakdown(state, m1, m2, b1, b2, w, 0.6), w), rel=1e-12
     )
 
 
@@ -232,6 +232,27 @@ def test_breakdown_total_consistent(rng):
     assert parts["e_total"] == pytest.approx(
         total_energy_slow(state, m1, m2, b1, b2, w, gamma), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("kind", VARIANT_KINDS)
+def test_energy_breakdown_matches_reference(rng, kind):
+    # one iteration in refine's order: C-step, both Y-steps, Pi-step
+    m1, m2 = hull_mesh(rng, 30), hull_mesh(rng, 32)
+    b1, b2 = compute_basis(m1, 8), compute_basis(m2, 8)
+    config = SolverConfig(variant=Variant(kind), alpha=0.3, beta=2.0)
+    gamma = 0.7
+    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
+    state.c_12, state.c_21 = c_step(state, b1, b2, config)
+    state.y_12, state.aux_12 = run_y_step(config.variant, config.beta, state.pi_12,
+                                          state.pi_21, m1, m2, b1)
+    state.y_21, state.aux_21 = run_y_step(config.variant, config.beta, state.pi_21,
+                                          state.pi_12, m2, m1, b2)
+    state.pi_12, state.pi_21 = pi_step(state, m1, m2, b1, b2, config, gamma)
+    got = energy_breakdown(state, m1, m2, b1, b2, config, gamma)
+    want = energy_breakdown_reference(state, m1, m2, b1, b2, config, gamma)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
 
 
 def test_weights_must_be_nonnegative():

@@ -644,19 +644,53 @@ def test_refine_out_is_a_file_fails_before_the_bases(fixture_dir, tmp_path, caps
     assert out.read_text() == "keep\n"
 
 
-def test_eval_out_is_a_directory_exits_2(fixture_dir, tmp_path, capsys):
+def test_refine_out_below_a_file_fails_before_the_bases(fixture_dir, tmp_path, capsys):
+    notadir = tmp_path / "notadir"
+    notadir.write_text("keep\n")
+    out = notadir / "run"
+    with mock.patch.object(cli, "compute_basis") as basis:
+        code = main([
+            "refine", "--src", str(fixture_dir / "src.off"),
+            "--tgt", str(fixture_dir / "tgt.off"),
+            "--landmarks", str(fixture_dir / "lm5.txt"), "--out", str(out),
+        ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --out: %s is below %s, which is not a directory\n" % (out, notadir))
+    basis.assert_not_called()
+    assert notadir.read_text() == "keep\n"
+
+
+def _eval_with_out(fixture_dir, tmp_path, out):
+    """``eval`` of an identity map with ``--out``, with ``compute_report`` spied."""
     n = load_mesh(fixture_dir / "src.off").n_vertices
     map_path = tmp_path / "ident.txt"
     map_path.write_text("\n".join(str(i) for i in range(n)) + "\n")
+    with mock.patch.object(cli, "compute_report") as report:
+        code = main(["eval", "--src", str(fixture_dir / "src.off"),
+                     "--tgt", str(fixture_dir / "tgt.off"),
+                     "--map12", str(map_path), "--out", str(out)])
+    report.assert_not_called()
+    return code
+
+
+def test_eval_out_is_a_directory_exits_2(fixture_dir, tmp_path, capsys):
     out = tmp_path / "report"
     out.mkdir()
-    code = main(["eval", "--src", str(fixture_dir / "src.off"),
-                 "--tgt", str(fixture_dir / "tgt.off"),
-                 "--map12", str(map_path), "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err
+    assert _eval_with_out(fixture_dir, tmp_path, out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
     assert out.is_dir() and not any(out.iterdir())
+
+
+def test_eval_out_below_a_missing_directory_exits_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert _eval_with_out(fixture_dir, tmp_path, out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert not out.parent.exists()
 
 
 def test_singular_solve_is_solver_failure(capsys):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -478,6 +479,24 @@ def test_normalized_rejects_zero_or_non_finite_area(scale, area):
         with pytest.raises(ValueError, match="^total area is %s; normalizing needs a "
                                              "positive, finite one$" % area):
             mesh.normalized()
+
+
+@pytest.mark.parametrize("x, leg, bound", [(1e308, 0.3, "1e+308"), (5e307, 0.03, "5e+307")],
+                         ids=["centroid", "scaling"])
+def test_load_mesh_rejects_coordinates_that_overflow_when_normalized(tmp_path, x, leg, bound):
+    # two small triangles far apart on the x axis: every coordinate is
+    # finite, yet the centroid (x = 1e308) or the unit-area scaling
+    # (x = 5e307) overflows
+    rows = [(s * x, dy, dz) for s in (1, -1) for dy, dz in ((0, 0), (leg, 0), (0, leg))]
+    path = tmp_path / "far.off"
+    path.write_text("OFF\n6 2 0\n" + "".join("%r %r %r\n" % row for row in rows)
+                    + "3 0 1 2\n3 3 5 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "%s: normalized coordinates are not finite (coordinates up to %s)" % (
+            path, bound)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            load_mesh(path)
 
 
 def test_normalized_unit_area_centered(rng):

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import hull_mesh, random_map
+from conftest import hull_mesh, make_random_state, random_map
 
-from smoothmatch.energies import (
-    a_norm_sq,
-    dirichlet_energy,
-    variant_smoothness,
-)
+from smoothmatch.energies import a_norm_sq, dirichlet_energy, energy_breakdown
 from smoothmatch.solver import SolverConfig, SolverState
+from smoothmatch.spectral import compute_basis
 from smoothmatch.variants import (
     VARIANT_KINDS,
     Variant,
@@ -49,18 +46,21 @@ def _state_with_y_steps(rng, kind, m1, m2, b1, b2):
     state.y_21, state.aux_21 = run_y_step(
         variant, config.beta, state.pi_21, state.pi_12, m2, m1, b2
     )
+    state.c_12 = rng.normal(size=(b2.k, b1.k))
+    state.c_21 = rng.normal(size=(b1.k, b2.k))
     return variant, config, state
 
 
 def test_variant_smoothness_branches_match_direct_formulas(rng):
-    from smoothmatch.spectral import compute_basis
-
     m1, m2 = hull_mesh(rng, 20), hull_mesh(rng, 22)
     b1, b2 = compute_basis(m1, 6), compute_basis(m2, 6)
 
     for kind in VARIANT_KINDS:
         variant, w, state = _state_with_y_steps(rng, kind, m1, m2, b1, b2)
-        got = variant_smoothness(state, m1, m2, w)
+        # the smoothness block of e_total, from the breakdown's columns
+        parts = energy_breakdown(state, m1, m2, b1, b2, w, 1.0)
+        got = (variant.energy.regularizer(state, m1, m2, variant, parts["e_dirichlet"])
+               + w.beta * parts["e_couple_spatial"])
 
         couple = a_norm_sq(
             state.y_12 - state.pi_12.pull(m2.vertices), m1.vertex_areas
@@ -106,8 +106,10 @@ def test_variant_smoothness_without_aux_raises(rng, kind):
     # these energies read the Y-steps' auxiliary unknowns; a state
     # without them must not be reported with the Dirichlet form
     m1, m2 = hull_mesh(rng, 15), hull_mesh(rng, 15)
-    state = SolverState(random_map(rng, m1, m2), random_map(rng, m2, m1))
+    b1, b2 = compute_basis(m1, 5), compute_basis(m2, 5)
+    state = make_random_state(rng, m1, m2, b1, b2, 5)
     state.y_12 = state.pi_12.pull(m2.vertices)
     state.y_21 = state.pi_21.pull(m1.vertices)
     with pytest.raises(ValueError, match="needs the Y-steps'"):
-        variant_smoothness(state, m1, m2, SolverConfig(variant=Variant(kind), beta=1.0))
+        energy_breakdown(state, m1, m2, b1, b2,
+                         SolverConfig(variant=Variant(kind), beta=1.0), 1.0)
