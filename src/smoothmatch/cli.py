@@ -227,8 +227,7 @@ def _cmd_refine(args):
             args.landmarks, len(pairs), "--k-final is %d" % k_max if k_max == config.k_final
             else "these meshes allow %d" % k_max))
     if k_max < config.k_final:
-        config.k_final = k_max
-        config.k_init = min(config.k_init, k_max)
+        config = dataclasses.replace(config, k_final=k_max, k_init=min(config.k_init, k_max))
         print("note: spectral sizes reduced to %d for these mesh sizes" % k_max,
               file=sys.stderr)
     if args.print_config:

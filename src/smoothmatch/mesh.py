@@ -24,7 +24,8 @@ from scipy.sparse import csgraph
 from .io import _content_lines, _next_content_line, _reject, _table, _text
 
 # cotangents beyond this threshold come from numerically degenerate
-# triangles; clamping keeps W assembly finite and effectively PSD
+# triangles; a face whose largest |cotangent| passes it has all three
+# scaled down by one factor, which keeps W finite and PSD
 _COT_CLAMP = 1e5
 
 
@@ -181,9 +182,15 @@ def cotangent_matrix(mesh):
     """Assemble the PSD cotangent matrix of a mesh.
 
     The weight of edge ``(i, j)`` is half the sum of the cotangents of
-    the angles opposite the edge in its incident triangles; cotangent
-    values are clamped to ``[-1e5, 1e5]`` so near-degenerate triangles
-    cannot destroy the assembly.
+    the angles opposite the edge in its incident triangles.  A
+    near-degenerate triangle whose largest |cotangent| exceeds ``1e5``,
+    a zero-area one included, has all three of its cotangents scaled by
+    the one factor that brings that largest to ``1e5``.  A triangle's
+    cotangents have a positive sum and ``cot_a cot_b + cot_b cot_c +
+    cot_c cot_a == 1``, which makes its block PSD; one positive factor
+    keeps both signs, so W stays PSD to rounding.  Clamping each
+    cotangent on its own can make that sum of products negative on a
+    sliver.
 
     Returns
     -------
@@ -193,16 +200,27 @@ def cotangent_matrix(mesh):
     f = mesh.faces
     n = mesh.n_vertices
 
+    # one row per corner: dot[c] and cot[c] belong to the angle at f[:, c]
+    dot = np.empty((3, len(f)))
+    cot = np.empty((3, len(f)))
+    for corner in range(3):
+        u1 = v[f[:, (corner + 1) % 3]] - v[f[:, corner]]
+        u2 = v[f[:, (corner + 2) % 3]] - v[f[:, corner]]
+        dbl_area = np.linalg.norm(np.cross(u1, u2), axis=1)
+        dbl_area = np.maximum(dbl_area, 1e-300)
+        dot[corner] = np.einsum("ij,ij->i", u1, u2)
+        with np.errstate(over="ignore"):    # a zero-area face; replaced below
+            cot[corner] = dot[corner] / dbl_area
+    # cot = dot / (2 area) on each face, so scaling its cotangents to a
+    # largest |cot| of 1e5 needs only the dots, which cannot overflow
+    big = np.abs(cot).max(axis=0) > _COT_CLAMP
+    cot[:, big] = _COT_CLAMP * dot[:, big] / np.abs(dot[:, big]).max(axis=0)
+
     rows, cols, vals = [], [], []
     for corner in range(3):
         i = f[:, (corner + 1) % 3]
         j = f[:, (corner + 2) % 3]
-        u1 = v[i] - v[f[:, corner]]
-        u2 = v[j] - v[f[:, corner]]
-        dbl_area = np.linalg.norm(np.cross(u1, u2), axis=1)
-        dbl_area = np.maximum(dbl_area, 1e-300)
-        cot = np.einsum("ij,ij->i", u1, u2) / dbl_area
-        w = 0.5 * np.clip(cot, -_COT_CLAMP, _COT_CLAMP)
+        w = 0.5 * cot[corner]
         rows.extend([i, j, i, j])
         cols.extend([j, i, i, j])
         vals.extend([-w, -w, w, w])

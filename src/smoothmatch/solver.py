@@ -39,14 +39,19 @@ from .spectral import PointwiseMap, fmap_to_p2p, nearest_rows
 from .variants import Variant
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Schedules, weights and switches of the refinement loop.
 
     alpha : weight of the spectral coupling terms
     beta : weight of the spatial coupling terms; None resolves to
-        ``variant.default_beta`` at construction
+        ``variant.energy.default_beta`` at construction
     The smoothness weight gamma follows ``gamma_schedule``.
+
+    Construction checks every rule of the record, ``variant.k_def <=
+    k_final`` included.  Like ``Variant`` it is frozen: a changed record
+    is a new one, built with ``dataclasses.replace``, which checks it
+    again.
     """
 
     k_init: int = 20
@@ -61,13 +66,15 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.beta is None:
-            self.beta = self.variant.default_beta
+            object.__setattr__(self, "beta", self.variant.energy.default_beta)
         for name in ("alpha", "beta"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError("energy weight %s must be finite and nonnegative (got %s)"
                                  % (name, getattr(self, name)))
         if self.k_init < 1 or self.k_final < self.k_init:
             raise ValueError("need 1 <= k_init <= k_final")
+        if self.variant.k_def is not None and self.variant.k_def > self.k_final:
+            raise ValueError("k_def=%d exceeds k_final=%d" % (self.variant.k_def, self.k_final))
         if self.n_outer < 1:
             raise ValueError("n_outer must be positive")
         for name in ("gamma_init", "gamma_final"):
@@ -179,8 +186,6 @@ def refine(pi_12, pi_21, mesh_1, mesh_2, basis_1, basis_2, config=None):
             "bases hold %d/%d eigenpairs, need k_final=%d"
             % (basis_1.k, basis_2.k, config.k_final)
         )
-    if config.variant.k_def is not None and config.variant.k_def > config.k_final:
-        raise ValueError("k_def=%d exceeds k_final=%d" % (config.variant.k_def, config.k_final))
     if pi_12.n_src != mesh_1.n_vertices or pi_12.n_tgt != mesh_2.n_vertices:
         raise ValueError("pi_12 does not match the meshes")
     if pi_21.n_src != mesh_2.n_vertices or pi_21.n_tgt != mesh_1.n_vertices:

@@ -55,10 +55,6 @@ class Variant:
         """This kind's ``Energy`` entry: the one lookup of ``ENERGIES``."""
         return ENERGIES[self.kind]
 
-    @property
-    def default_beta(self):
-        return self.energy.default_beta
-
 
 def _symmetric_lu(mat, permc_spec, relax, panel_size):
     # SPD factor with its pivots taken from the diagonal

@@ -18,6 +18,7 @@ def cot_weights_slow(mesh):
     w = {}
     v = mesh.vertices
     for tri in mesh.faces:
+        cots = []
         for c in range(3):
             i, j, k = tri[c], tri[(c + 1) % 3], tri[(c + 2) % 3]
             u1 = v[j] - v[i]
@@ -25,10 +26,13 @@ def cot_weights_slow(mesh):
             denom = np.linalg.norm(u1) * np.linalg.norm(u2)
             cosang = float(np.dot(u1, u2)) / denom
             ang = math.acos(min(1.0, max(-1.0, cosang)))
-            cot = 1.0 / math.tan(ang) if ang > 0 else 1e5
-            cot = min(1e5, max(-1e5, cot))
+            cots.append(1.0 / math.tan(ang) if ang > 0 else 1e5)
+        # one factor per face brings its largest |cot| down to 1e5
+        scale = min(1.0, 1e5 / max(abs(cot) for cot in cots))
+        for c in range(3):
+            j, k = tri[(c + 1) % 3], tri[(c + 2) % 3]
             key = (min(j, k), max(j, k))
-            w[key] = w.get(key, 0.0) + 0.5 * cot
+            w[key] = w.get(key, 0.0) + 0.5 * cots[c] * scale
     return w
 
 

@@ -524,14 +524,37 @@ def test_refine_rejects_k_init_above_k_final(fixture_dir, tmp_path, capsys):
 
 
 def test_refine_rejects_k_def_above_k_final(fixture_dir, tmp_path, capsys):
-    code = main([
-        "refine", "--src", str(fixture_dir / "src.off"),
-        "--tgt", str(fixture_dir / "tgt.off"),
-        "--landmarks", str(fixture_dir / "lm5.txt"),
-        "--energy", "shells", "--k-def", "500", "--k-final", "30", "--out", str(tmp_path / "o"),
-    ])
+    out = tmp_path / "o"
+    with mock.patch.object(cli, "compute_basis") as basis:
+        code = main([
+            "refine", "--src", str(fixture_dir / "src.off"),
+            "--tgt", str(fixture_dir / "tgt.off"),
+            "--landmarks", str(fixture_dir / "lm5.txt"),
+            "--energy", "shells", "--k-def", "500", "--k-final", "30", "--out", str(out),
+        ])
     assert code == 2
     assert "k_def=500 exceeds k_final=30" in capsys.readouterr().err
+    basis.assert_not_called()
+    assert not out.exists()
+
+
+def test_refine_rejects_k_def_above_the_capped_k_final(tmp_path, capsys):
+    # 42 vertices cap the spectral sizes at 40, below --k-def; the error
+    # comes before the note on the cap and before any basis
+    fixture = tmp_path / "fix"
+    assert main(["synth", "icosphere", "--subdiv", "1", "--out", str(fixture)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    with mock.patch.object(cli, "compute_basis") as basis:
+        code = main([
+            "refine", "--src", str(fixture / "src.off"), "--tgt", str(fixture / "tgt.off"),
+            "--landmarks", str(fixture / "lm5.txt"),
+            "--energy", "shells", "--k-def", "41", "--out", str(out),
+        ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: k_def=41 exceeds k_final=40\n"
+    basis.assert_not_called()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -647,18 +670,33 @@ def test_refine_out_is_a_file_fails_before_the_bases(fixture_dir, tmp_path, caps
 def test_refine_out_below_a_file_fails_before_the_bases(fixture_dir, tmp_path, capsys):
     notadir = tmp_path / "notadir"
     notadir.write_text("keep\n")
-    out = notadir / "run"
-    with mock.patch.object(cli, "compute_basis") as basis:
-        code = main([
-            "refine", "--src", str(fixture_dir / "src.off"),
-            "--tgt", str(fixture_dir / "tgt.off"),
-            "--landmarks", str(fixture_dir / "lm5.txt"), "--out", str(out),
-        ])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: --out: %s is below %s, which is not a directory\n" % (out, notadir))
-    basis.assert_not_called()
-    assert notadir.read_text() == "keep\n"
+    # for notadir/a/b the check walks up past the missing notadir/a
+    for out in (notadir / "run", notadir / "a" / "b"):
+        with mock.patch.object(cli, "compute_basis") as basis:
+            code = main([
+                "refine", "--src", str(fixture_dir / "src.off"),
+                "--tgt", str(fixture_dir / "tgt.off"),
+                "--landmarks", str(fixture_dir / "lm5.txt"), "--out", str(out),
+            ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --out: %s is below %s, which is not a directory\n" % (out, notadir))
+        basis.assert_not_called()
+        assert notadir.read_text() == "keep\n"
+
+
+def test_refine_out_below_missing_directories_creates_them(fixture_dir, tmp_path):
+    out = tmp_path / "fresh" / "a" / "b"
+    code = main([
+        "refine", "--src", str(fixture_dir / "src.off"),
+        "--tgt", str(fixture_dir / "tgt.off"),
+        "--landmarks", str(fixture_dir / "lm5.txt"),
+        "--k-final", "20", "--iters", "2", "--out", str(out),
+    ])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "energy_report.txt", "energy_trace.csv", "fmap_12.txt", "fmap_21.txt",
+        "map_12.txt", "map_21.txt"]
 
 
 def _eval_with_out(fixture_dir, tmp_path, out):

@@ -22,6 +22,7 @@ from smoothmatch.mesh import (
     vertex_areas,
     write_off,
 )
+from smoothmatch.spectral import compute_basis
 from smoothmatch.synth import farthest_point_indices, icosphere
 
 
@@ -257,6 +258,57 @@ def test_cot_matches_slow_assembly(rng):
     w = cotangent_matrix(mesh).toarray()
     for (i, j), wij in cot_weights_slow(mesh).items():
         assert abs(-w[i, j] - wij) < 1e-10
+
+
+def _sliver_sphere(tmp_path, subdiv, gap):
+    """icosphere(subdiv), loaded from OFF after face 0's third vertex is
+    moved on the unit sphere to ``gap`` from the midpoint of the other
+    two, towards where it was: a sliver with an angle near pi."""
+    sphere = icosphere(subdiv)
+    verts = sphere.vertices.copy()
+    a, b, c = sphere.faces[0]
+    mid = 0.5 * (verts[a] + verts[b])
+    verts[c] = mid + gap * (verts[c] - mid) / np.linalg.norm(verts[c] - mid)
+    path = tmp_path / "sliver.off"
+    write_off(TriMesh(verts, sphere.faces), path)
+    return load_mesh(path)
+
+
+def test_cot_psd_on_a_sliver(tmp_path):
+    # clamping each cotangent on its own gives a smallest eigenvalue of
+    # -3.8e4 against a largest of 1.5e5 here
+    eig = np.linalg.eigvalsh(_sliver_sphere(tmp_path, 3, 4e-7).cot_matrix.toarray())
+    assert eig.min() >= -1e-10 * np.abs(eig).max()
+
+
+def test_dense_basis_of_a_sliver_has_no_negative_mode(tmp_path):
+    # 162 vertices take the dense eigensolver, which returns an indefinite
+    # W's negative mode first; the bound is the rounding of |W| ~ 1.5e5
+    # over the smallest vertex area, 3.3e-3
+    mesh = _sliver_sphere(tmp_path, 2, 1e-6)
+    assert compute_basis(mesh, 10).lam[0] >= -1e-6
+
+
+def test_cot_psd_with_a_zero_area_face():
+    # a collinear face along the bottom edge of a split square, at a scale
+    # where its cotangents overflow; clamped one by one they make W
+    # indefinite (-5e4 against 1e5)
+    verts = 1e5 * np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0, 0]])
+    w = cotangent_matrix(TriMesh(verts, [[0, 4, 2], [4, 1, 2], [0, 2, 3], [0, 1, 4]]))
+    eig = np.linalg.eigvalsh(w.toarray())
+    assert eig.min() >= -1e-10 * np.abs(eig).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_height=st.floats(-9, -2), apex=st.floats(-1.0, 2.0),
+       angle=st.floats(0, 2 * np.pi), scale=st.floats(0.01, 100))
+def test_cot_psd_on_single_slivers(log_height, apex, angle, scale):
+    # a base from (0, 0) to (1, 0) and an apex 10**log_height above it,
+    # turned and scaled in the xy plane
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    xy = scale * np.array([[0.0, 0.0], [1.0, 0.0], [apex, 10.0 ** log_height]]) @ rot.T
+    w = cotangent_matrix(TriMesh(np.column_stack([xy, np.zeros(3)]), [[0, 1, 2]])).toarray()
+    assert np.linalg.eigvalsh(w).min() >= -1e-6 * np.abs(w).max()
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -444,11 +445,28 @@ def test_schedule_edge_cases():
 def test_config_beta_none_is_the_energy_default():
     assert SolverConfig(variant=Variant("nicp"), alpha=0.2).beta == 0.01
     for kind in VARIANT_KINDS:
-        assert SolverConfig(variant=Variant(kind)).beta == Variant(kind).default_beta
+        assert SolverConfig(variant=Variant(kind)).beta == Variant(kind).energy.default_beta
     assert SolverConfig(variant=Variant("nicp"), beta=0.0).beta == 0.0
     # the weights are checked before the schedules, as the CLI reports them
     with pytest.raises(ValueError, match="energy weight alpha"):
         SolverConfig(alpha=np.inf, n_outer=0)
+
+
+def test_config_states_k_def_at_most_k_final():
+    with pytest.raises(ValueError, match="^k_def=500 exceeds k_final=30$"):
+        SolverConfig(k_final=30, variant=Variant("shells", k_def=500))
+    # a changed copy is checked again
+    config = SolverConfig(variant=Variant("shells", k_def=40))
+    with pytest.raises(ValueError, match="^k_def=40 exceeds k_final=30$"):
+        dataclasses.replace(config, k_final=30)
+    assert dataclasses.replace(config, k_final=40, k_init=20).k_final == 40
+
+
+def test_config_is_frozen():
+    config = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.k_final = 5
+    assert config.k_final == 100
 
 
 def test_trace_csv_roundtrip(sphere2, sphere2_basis, tmp_path):

@@ -541,7 +541,7 @@ def test_variant_validation():
 
 
 def test_per_energy_coupling_defaults():
-    assert Variant("arap").default_beta == pytest.approx(1e-1)
-    assert Variant("nicp").default_beta == pytest.approx(1e-2)
-    assert Variant("shells").default_beta == pytest.approx(1e-3)
-    assert Variant("rhm").default_beta == pytest.approx(1.0)
+    assert Variant("arap").energy.default_beta == pytest.approx(1e-1)
+    assert Variant("nicp").energy.default_beta == pytest.approx(1e-2)
+    assert Variant("shells").energy.default_beta == pytest.approx(1e-3)
+    assert Variant("rhm").energy.default_beta == pytest.approx(1.0)
